@@ -221,7 +221,6 @@ def cmd_verify(args) -> int:
             "cover_checks": summary.cover_checks,
             "bound_checks": summary.bound_checks,
         },
-        "elapsed": round(summary.elapsed, 6),
         "nonzero_kernels": [
             {"m": m.text(), "n": n.text(), "e": list(e), "kernel": _poly_json(kernel)}
             for m, n, e, kernel in summary.kernels

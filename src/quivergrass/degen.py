@@ -1,8 +1,11 @@
 """Degeneration order, minimal degenerations, and their Bongartz decompositions.
 
 The degeneration order on classes of a fixed dimension vector is implemented
-as the Hom order: m <= n iff [U, m] <= [U, n] for every interval U.  Minimal
-degenerations are the covers of that poset.  Every cover decomposes as
+as the Hom order: m <= n iff [U, m] <= [U, n] for every interval U.  The
+poset keeps one bitset row per class (its up-set), built with one
+threshold mask per interval and Hom count.  Minimal degenerations are the
+covers of that poset: the strict up-set of m minus everything strictly above
+a member of it.  Every cover decomposes as
 m = Y1 + common, n = x1 + s1 + common with a non-split extension
 0 -> x1 -> Y1 -> s1 -> 0, and common splits as X' + S' so that the sequence
 0 -> x1 + X' -> m -> s1 + S' -> 0 generates its Ext space; the boundary
@@ -12,7 +15,7 @@ classes cut out the subspace pairs that fail to lift along the degeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .homalg import (
     ext_dim,
@@ -45,50 +48,98 @@ def hom_leq(q: TypeAQuiver, m: RepClass, n: RepClass) -> bool:
 
 @dataclass(frozen=True)
 class DegenPoset:
+    """Classes of dimension d under the Hom order, as bitset rows.
+
+    Bit j of up[i] is set iff nodes[i] <= nodes[j]; bit j of succ[i] is set
+    iff nodes[j] covers nodes[i].  covers lists the same edges as pairs,
+    i-major with j ascending.
+    """
+
     quiver: TypeAQuiver
     d: tuple[int, ...]
     nodes: tuple[RepClass, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
+    succ: tuple[int, ...]
     covers: tuple[tuple[RepClass, RepClass], ...]
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """leq[i][j] iff nodes[i] <= nodes[j]; built on first read."""
+        size = len(self.nodes)
+        return tuple(tuple(bool(row >> j & 1) for j in range(size)) for row in self.up)
+
+    @cached_property
+    def _position(self) -> dict[RepClass, int]:
+        return {m: i for i, m in enumerate(self.nodes)}
+
+    @cached_property
+    def _cover_set(self) -> frozenset[tuple[RepClass, RepClass]]:
+        return frozenset(self.covers)
 
     def index(self, m: RepClass) -> int:
         try:
-            return self.nodes.index(m)
-        except ValueError:
+            return self._position[m]
+        except KeyError:
             raise ValueError(f"{m} has no summand decomposition of dimension {self.d}") from None
 
     def leq_pair(self, m: RepClass, n: RepClass) -> bool:
-        return self.leq[self.index(m)][self.index(n)]
+        return bool(self.up[self.index(m)] >> self.index(n) & 1)
 
     def is_cover(self, m: RepClass, n: RepClass) -> bool:
-        return (m, n) in self.covers
+        return (m, n) in self._cover_set
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @cache
 def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
-    """All classes of dimension d ordered by degeneration, with cover edges."""
+    """All classes of dimension d ordered by degeneration, with cover edges.
+
+    For each interval coordinate u, ge[u][t] is the set of nodes whose Hom
+    count at u is at least t; the up-set of node i is the intersection over
+    u of ge[u][hv_i[u]].  The covers of i are its strict up-set minus
+    everything strictly above one of its members.
+    """
     nodes = enumerate_rep_classes(q, d)
     vectors = [hom_vector(q, m) for m in nodes]
     if len(set(vectors)) != len(vectors):
         raise InternalCheckError("distinct classes share Hom counts; order is not antisymmetric")
     size = len(nodes)
-    leq = tuple(
-        tuple(all(a <= b for a, b in zip(vectors[i], vectors[j])) for j in range(size))
-        for i in range(size)
-    )
+    full = (1 << size) - 1
+    up = [full] * size
+    for column in zip(*vectors):
+        ge = [0] * (max(column) + 2)
+        for j, t in enumerate(column):
+            ge[t] |= 1 << j
+        for t in range(len(ge) - 2, -1, -1):
+            ge[t] |= ge[t + 1]
+        for i, t in enumerate(column):
+            up[i] &= ge[t]
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    succ = []
     covers = []
     for i in range(size):
-        for j in range(size):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(size)):
-                continue
-            covers.append((nodes[i], nodes[j]))
+        above = 0
+        for j in _bits(strict[i]):
+            above |= strict[j]
+        row = strict[i] & ~above
+        succ.append(row)
+        covers.extend((nodes[i], nodes[j]) for j in _bits(row))
     if size:
-        top = [j for j in range(size) if all(leq[i][j] for i in range(size))]
-        if len(top) != 1 or nodes[top[0]] != semisimple_class(q, d):
+        top = full
+        for row in up:
+            top &= row
+        if top.bit_count() != 1 or nodes[top.bit_length() - 1] != semisimple_class(q, d):
             raise InternalCheckError("semisimple class is not the unique maximum")
-    return DegenPoset(q, d, nodes, leq, tuple(covers))
+    return DegenPoset(q, d, nodes, tuple(up), tuple(succ), tuple(covers))
 
 
 @dataclass(frozen=True)

@@ -165,11 +165,6 @@ def _intervals_of(n: int) -> tuple[Interval, ...]:
     return tuple(Interval(a, b) for a in range(1, n + 1) for b in range(a, n + 1))
 
 
-def dim_of(m: RepClass, n: int) -> tuple[int, ...]:
-    """Dimension vector of the class on an n-vertex quiver."""
-    return m.dim(n)
-
-
 def vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise ValueError("length mismatch")

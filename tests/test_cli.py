@@ -125,6 +125,14 @@ def test_cli_verify_schema(capsys):
     assert len(payload["checks"]) == 4
 
 
+def test_cli_verify_output_is_deterministic(capsys):
+    argv = ("verify", "--quiver", "A3:FB", "--dim", "1,1,1", "--jobs", "1")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first[1] == second[1]
+
+
 def test_cli_pbw_pinned(capsys):
     code, out, _ = run_cli(capsys, "pbw", "--n", "2", "--i", "1")
     assert code == 0

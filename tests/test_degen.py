@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from quivergrass import degen
 from quivergrass.degen import (
     bongartz_data,
     boundary_check,
@@ -15,6 +16,7 @@ from quivergrass.quiver import (
     Interval,
     RepClass,
     TypeAQuiver,
+    enumerate_rep_classes,
     semisimple_class,
     vec_boxes,
 )
@@ -64,6 +66,70 @@ def test_poset_single_class():
     poset = degeneration_poset(TypeAQuiver(1, ""), (2,))
     assert len(poset.nodes) == 1
     assert poset.covers == ()
+
+
+def reference_poset(q, d):
+    """The pairwise leq matrix and the O(N^3) cover rule, as a reference."""
+    nodes = enumerate_rep_classes(q, d)
+    vectors = [hom_vector(q, m) for m in nodes]
+    size = len(nodes)
+    leq = tuple(
+        tuple(all(a <= b for a, b in zip(vectors[i], vectors[j])) for j in range(size))
+        for i in range(size)
+    )
+    covers = tuple(
+        (nodes[i], nodes[j])
+        for i in range(size)
+        for j in range(size)
+        if i != j
+        and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(size))
+    )
+    return nodes, leq, covers
+
+
+def test_poset_matches_reference_rule():
+    for q in all_quivers(4):
+        for d in vec_boxes(tuple([2] * q.n)):
+            poset = degeneration_poset(q, d)
+            nodes, leq, covers = reference_poset(q, d)
+            assert poset.nodes == nodes
+            assert poset.covers == covers
+            assert poset.leq == leq
+            for i, m in enumerate(nodes):
+                for j, n in enumerate(nodes):
+                    assert poset.leq_pair(m, n) == leq[i][j]
+                    assert poset.is_cover(m, n) == ((m, n) in covers)
+
+
+@pytest.mark.parametrize(
+    "q, d, nodes, covers",
+    [
+        (TypeAQuiver(4, "FFF"), (5, 5, 5, 5), 672, 1947),
+        (TypeAQuiver(5, "FFBF"), (4, 2, 4, 4, 2), 439, 1341),
+    ],
+)
+def test_poset_pinned_sizes(q, d, nodes, covers):
+    poset = degeneration_poset(q, d)
+    assert (len(poset.nodes), len(poset.covers)) == (nodes, covers)
+
+
+def test_poset_index_rejects_foreign_class():
+    poset = degeneration_poset(A2, (1, 1))
+    with pytest.raises(ValueError, match="no summand decomposition"):
+        poset.index(cls((1, 1)))
+    assert not poset.is_cover(cls((1, 1)), cls((1, 2)))
+
+
+def test_poset_checks_raise(monkeypatch):
+    build = degeneration_poset.__wrapped__
+    monkeypatch.setattr(degen, "hom_vector", lambda q, m: (0,))
+    with pytest.raises(InternalCheckError, match="not antisymmetric"):
+        build(A3, (1, 1, 1))
+    monkeypatch.undo()
+    monkeypatch.setattr(degen, "semisimple_class", lambda q, d: cls((1, 3)))
+    with pytest.raises(InternalCheckError, match="unique maximum"):
+        build(A3, (1, 1, 1))
 
 
 def test_semisimple_is_unique_maximum():

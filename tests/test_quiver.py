@@ -5,7 +5,6 @@ from quivergrass.quiver import (
     Interval,
     RepClass,
     TypeAQuiver,
-    dim_of,
     enumerate_rep_classes,
     explicit_of,
     injective_interval,
@@ -55,9 +54,9 @@ def test_intervals_of():
 
 
 def test_dim_of():
-    assert dim_of(RepClass.empty(), 2) == (0, 0)
-    assert dim_of(RepClass.from_pairs([(Interval(1, 2), 2), (Interval(1, 1), 1)]), 2) == (3, 2)
-    assert dim_of(cls((1, 3), (2, 2)), 3) == (1, 2, 1)
+    assert RepClass.empty().dim(2) == (0, 0)
+    assert RepClass.from_pairs([(Interval(1, 2), 2), (Interval(1, 1), 1)]).dim(2) == (3, 2)
+    assert cls((1, 3), (2, 2)).dim(3) == (1, 2, 1)
 
 
 def test_enumerate_rep_classes_examples():

@@ -105,6 +105,23 @@ def test_saturated_chain_is_saturated():
         assert poset.is_cover(a, b)
 
 
+def test_saturated_chain_takes_first_cover_below_target():
+    # reference: scan the covers in order for the first one from the current
+    # class whose upper end is still below the target
+    for orient in ("FF", "FB", "BF", "BB"):
+        q = TypeAQuiver(3, orient)
+        poset = degeneration_poset(q, (2, 2, 2))
+        for m, n in itertools.product(poset.nodes, repeat=2):
+            if not poset.leq_pair(m, n):
+                continue
+            expected = [m]
+            while expected[-1] != n:
+                expected.append(
+                    next(c for a, c in poset.covers if a == expected[-1] and poset.leq_pair(c, n))
+                )
+            assert saturated_chain(q, m, n) == tuple(expected)
+
+
 def test_verify_theorem_a2():
     summary = verify_theorem(A2, (1, 1))
     assert summary.covers == 1
