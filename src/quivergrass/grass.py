@@ -4,10 +4,14 @@ Route one is a stratification recursion: peel off a summand S with
 Ext^1(S, rest) = 0; the subrepresentations of rest + S of dimension e fiber
 over pairs (A, B) of subrepresentations of the two factors, with affine
 fibers of dimension <dim B, dim rest - dim A>.  Route two is an oracle:
-count subrepresentations over several prime fields by enumerating subspace
-tuples in reduced row echelon form, then interpolate the counting polynomial
-(Grassmannians here are paved by affine cells, so the count is a polynomial
-in the field size whose coefficients are the even Betti numbers).
+count subrepresentations over several prime fields, then interpolate the
+counting polynomial (Grassmannians here are paved by affine cells, so the
+count is a polynomial in the field size whose coefficients are the even
+Betti numbers).  The count splits the vertices into runs linked by arrows
+whose condition bites; each run is walked from its end with fewer
+subspaces, enumerating subspaces in reduced row echelon form at every vertex
+but the last, whose admissible subspaces are counted in closed form from
+one rank over F_p.
 
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
@@ -273,19 +277,6 @@ def _subspaces(ambient: int, k: int, p: int):
     return tuple(out)
 
 
-def count_subspaces(ambient: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^ambient, by echelon pattern."""
-    if k < 0 or k > ambient:
-        return 0
-    total = 0
-    for pivots in itertools.combinations(range(ambient), k):
-        nfree = sum(
-            1 for r in range(k) for c in range(pivots[r] + 1, ambient) if c not in pivots
-        )
-        total += p ** nfree
-    return total
-
-
 def _reduce_mod(vec: list[int], rows, pivots, p: int) -> bool:
     """True when vec lies in the row space spanned by the echelon rows."""
     v = list(vec)
@@ -304,7 +295,28 @@ def _apply(mat_rows, vec, p: int) -> list[int]:
     return [sum(a * b for a, b in zip(row, vec)) % p for row in mat_rows]
 
 
-def _segments(q: TypeAQuiver, mats, d, e, p: int) -> list[list[int]]:
+def _rank_mod(vectors, p: int) -> int:
+    """Rank over F_p of equal-length vectors with entries already reduced mod p."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        prow = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            coef = rows[i][c]
+            if coef:
+                rows[i] = [(x - coef * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _segments(q: TypeAQuiver, mats, d, e) -> list[list[int]]:
     """Split vertices 1..n into runs linked by edges whose condition bites."""
     active = []
     for k in range(q.n - 1):
@@ -321,7 +333,18 @@ def _segments(q: TypeAQuiver, mats, d, e, p: int) -> list[list[int]]:
 
 
 def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
-    """Number of subrepresentation tuples of m over F_p with dimensions e."""
+    """Number of subrepresentation tuples of m over F_p with dimensions e.
+
+    Runs of vertices linked by biting arrows are independent, so the count
+    is a product over runs.  A run is walked from its end with fewer
+    e-subspaces: the subspaces of every vertex but the last are enumerated in
+    echelon form, each weighted by the number of admissible choices behind
+    it.  The last vertex b is counted in closed form from the subspace W at
+    its neighbour a: for an arrow a -> b with matrix A the admissible U
+    contain A W, which leaves Gr(e_b - r, d_b - r) with r = rank A W; for an
+    arrow b -> a they lie in the preimage of W, which has dimension
+    d_b - (rank(W + im A) - e_a).
+    """
     if not _is_prime(p) or p > MAX_PRIME:
         raise ValueError(f"p must be a prime at most {MAX_PRIME}")
     if len(e) != q.n:
@@ -331,22 +354,25 @@ def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
         return 0
     rep = explicit_of(q, m)
     mats = [_mat_mod(mat, p) for mat in rep.mats]
+
+    def size(v: int) -> int:
+        return gaussian_binomial(d[v - 1], e[v - 1]).eval_at(p)
+
     total = 1
-    for segment in _segments(q, mats, d, e, p):
+    for segment in _segments(q, mats, d, e):
         if len(segment) == 1:
-            v = segment[0]
-            total *= count_subspaces(d[v - 1], e[v - 1], p)
+            total *= size(segment[0])
             continue
-        first = segment[0]
-        current = _subspaces(d[first - 1], e[first - 1], p)
+        if size(segment[0]) > size(segment[-1]):
+            segment = segment[::-1]
+        current = _subspaces(d[segment[0] - 1], e[segment[0] - 1], p)
         weights = [1] * len(current)
-        for v in segment[1:]:
-            k = v - 2
-            s, t = q.edge(k)
-            incoming = _subspaces(d[v - 1], e[v - 1], p)
+        for a, b in zip(segment, segment[1:-1]):
+            k = min(a, b) - 1
+            incoming = _subspaces(d[b - 1], e[b - 1], p)
             new_weights = []
-            if s == v - 1:
-                # condition: image of the left subspace lands in the right one
+            if q.edge(k)[0] == a:
+                # condition: image of the subspace at a lands in the one at b
                 images = [[_apply(mats[k], list(row), p) for row in rows] for rows, _ in current]
                 for rows, pivots in incoming:
                     acc = 0
@@ -355,16 +381,31 @@ def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
                             acc += w
                     new_weights.append(acc)
             else:
-                # edge points leftward: image of the right subspace lands in the left one
+                # arrow b -> a: image of the subspace at b lands in the one at a
                 for rows, _ in incoming:
                     img = [_apply(mats[k], list(row), p) for row in rows]
                     acc = 0
-                    for w, (lrows, lpivots) in zip(weights, current):
-                        if w and all(_reduce_mod(vec, lrows, lpivots, p) for vec in img):
+                    for w, (arows, apivots) in zip(weights, current):
+                        if w and all(_reduce_mod(vec, arows, apivots, p) for vec in img):
                             acc += w
                     new_weights.append(acc)
             current, weights = incoming, new_weights
-        total *= sum(weights)
+        a, b = segment[-2], segment[-1]
+        k = min(a, b) - 1
+        d_b, e_b = d[b - 1], e[b - 1]
+        picked = [(w, rows) for w, (rows, _) in zip(weights, current) if w]
+        if q.edge(k)[0] == a:
+            # U contains A W of rank r: an (e_b - r)-subspace of F_p^d_b / A W
+            by_rank = [gaussian_binomial(d_b - r, e_b - r).eval_at(p) for r in range(d_b + 1)]
+            total *= sum(
+                w * by_rank[_rank_mod([_apply(mats[k], list(row), p) for row in rows], p)]
+                for w, rows in picked
+            )
+        else:
+            # U lies in A^-1(W), of dimension d_b - dim((W + im A) / W)
+            columns = tuple(zip(*mats[k]))
+            by_dim = [gaussian_binomial(n, e_b).eval_at(p) for n in range(d_b + 1)]
+            total *= sum(w * by_dim[d_b + e[a - 1] - _rank_mod(rows + columns, p)] for w, rows in picked)
     return total
 
 
@@ -373,10 +414,10 @@ def _enum_cost(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
     rep = explicit_of(q, m)
     mats = [_mat_mod(mat, p) for mat in rep.mats]
     cost = 0
-    for segment in _segments(q, mats, d, e, p):
+    for segment in _segments(q, mats, d, e):
         if len(segment) == 1:
             continue
-        sizes = [count_subspaces(d[v - 1], e[v - 1], p) for v in segment]
+        sizes = [gaussian_binomial(d[v - 1], e[v - 1]).eval_at(p) for v in segment]
         cost += sum(sizes) + sum(a * b for a, b in zip(sizes, sizes[1:]))
     return cost
 

@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass import grass
 from quivergrass.degen import bongartz_data, degeneration_poset
 from quivergrass.grass import (
     PoincarePoly,
     betti_oracle,
     betti_recursion,
-    count_subspaces,
     first_primes,
     gaussian_binomial,
     gr_interval,
@@ -67,7 +67,7 @@ def test_gaussian_binomial():
     for n in range(6):
         for k in range(n + 1):
             for p in (2, 3, 5):
-                assert gaussian_binomial(n, k).eval_at(p) == count_subspaces(n, k, p)
+                assert gaussian_binomial(n, k).eval_at(p) == len(grass._subspaces(n, k, p))
 
 
 def test_gr_interval_examples():
@@ -149,15 +149,67 @@ def test_point_count_brute_force_cross_check():
                 count += 1
         return count
 
+    a2b = TypeAQuiver(2, "B")
+    left_big = RepClass.from_pairs([(Interval(1, 2), 1), (Interval(1, 1), 2)])
+    right_big = RepClass.from_pairs([(Interval(1, 2), 1), (Interval(2, 2), 2)])
+    chain3 = RepClass.from_pairs([(Interval(1, 1), 3), (Interval(1, 3), 1)])
     cases = [
         (A2, cls((1, 2), (1, 1)), (1, 1), 3),
         (A2, RepClass.from_pairs([(Interval(1, 2), 2)]), (1, 1), 2),
         (A3, cls((1, 3), (2, 2)), (1, 1, 1), 2),
         (TypeAQuiver(3, "FB"), cls((1, 2), (2, 3)), (1, 1, 1), 3),
-        (TypeAQuiver(2, "B"), cls((1, 2), (2, 2)), (1, 1), 5),
+        (a2b, cls((1, 2), (2, 2)), (1, 1), 5),
+        # last vertex on the arrow's head, walked left to right
+        (A2, right_big, (1, 1), 5),
+        # larger Grassmannian first: the walk is reversed and ends on the arrow's tail
+        (A2, left_big, (1, 0), 7),
+        # last vertex on the arrow's tail, walked left to right
+        (a2b, right_big, (0, 1), 7),
+        # reversed walk ending on the arrow's head
+        (a2b, left_big, (2, 1), 5),
+        # three linked vertices (4,2)-(1,0)-(1,1), walked from vertex 3
+        (TypeAQuiver(3, "FB"), chain3, (2, 0, 1), 5),
+        (TypeAQuiver(3, "FB"), chain3, (2, 0, 1), 2),
+        # (1,1)-(1,0)-(4,2), walked from vertex 1
+        (TypeAQuiver(3, "FB"), RepClass.from_pairs([(Interval(1, 3), 1), (Interval(3, 3), 3)]), (1, 0, 2), 7),
+        # both arrows leave the middle vertex: inner step against the arrow
+        (TypeAQuiver(3, "BF"), RepClass.from_pairs([(Interval(1, 1), 2), (Interval(1, 3), 1)]), (1, 1, 0), 5),
+        (TypeAQuiver(3, "BB"), RepClass.from_pairs([(Interval(1, 3), 1), (Interval(3, 3), 2)]), (0, 0, 2), 5),
     ]
     for q, m, e, p in cases:
-        assert point_count(q, m, e, p) == brute(q, m, e, p)
+        assert point_count(q, m, e, p) == brute(q, m, e, p), (q.label(), m.text(), e, p)
+
+
+def test_point_count_never_enumerates_the_last_vertex(monkeypatch):
+    requested = []
+    original = grass._subspaces
+
+    def recording(ambient, k, p):
+        requested.append((ambient, k, p))
+        return original(ambient, k, p)
+
+    monkeypatch.setattr(grass, "_subspaces", recording)
+    q = TypeAQuiver(3, "BB")
+    m = RepClass.from_pairs([(Interval(1, 2), 1), (Interval(2, 2), 4)])
+    assert point_count(q, m, (0, 4, 0), 13) == betti_recursion(q, m, (0, 4, 0)).eval_at(13)
+    assert requested and (5, 4, 13) not in requested
+    # mirrored: Gr(4, 5) comes first in the run, so the walk must start at vertex 2
+    requested.clear()
+    q = TypeAQuiver(3, "FF")
+    m = RepClass.from_pairs([(Interval(1, 1), 4), (Interval(1, 2), 1)])
+    assert point_count(q, m, (4, 0, 0), 13) == betti_recursion(q, m, (4, 0, 0)).eval_at(13)
+    assert requested and (5, 4, 13) not in requested
+
+
+@given(st.sampled_from([q for q in all_quivers(5) if q.n >= 2]), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_betti_oracle_matches_recursion_random(q, data):
+    intervals = list(intervals_of(q))
+    m = RepClass.from_copies(data.draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=4)))
+    d = m.dim(q.n)
+    boxes = [e for e in vec_boxes(d) if sum(x * (y - x) for x, y in zip(e, d)) <= 4]
+    e = data.draw(st.sampled_from(boxes))
+    assert betti_oracle(q, m, e) == betti_recursion(q, m, e)
 
 
 def test_betti_oracle_examples():
