@@ -28,6 +28,13 @@ class UsageError(ValueError):
     """Malformed command-line input; message carries the offending position."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors reach main as UsageError, not usage text."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def parse_quiver(text: str) -> TypeAQuiver:
     match = re.fullmatch(r"A(\d+)(?::([FB]*))?", text)
     if match is None:
@@ -266,7 +273,7 @@ def cmd_pbw(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivergrass",
         description="Degeneration posets and quiver-Grassmannian Betti numbers for type A quivers",
     )
@@ -311,14 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": {"type": "usage", "message": str(exc)}}), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(json.dumps({"error": {"type": "value", "message": str(exc)}}), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(json.dumps({"error": {"type": "io", "message": str(exc)}}), file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(json.dumps({"error": {"type": "internal-check", "message": str(exc)}}), file=sys.stderr)

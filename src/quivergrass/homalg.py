@@ -8,11 +8,15 @@ entries 0 or 1, identity on the diagonal).  Ext dimensions come from the
 hereditary identity  dim Hom - dim Ext = <dim M, dim N>  with the Euler form
 of the quiver.  The Auslander-Reiten translate acts on dimension vectors of
 non-projectives as the Coxeter transform built from the Cartan matrix.
+The middle term of a non-split extension of interval modules with a
+one-dimensional Ext space is the endpoint swap of the two intervals,
+certified against the Hom table; hom_basis, iso_identify and
+subquotient_class are the explicit route that tests and boundary checks
+compare it with.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -29,7 +33,6 @@ from .quiver import (
     intervals_of,
     is_projective,
     projective_intervals,
-    vec_add,
 )
 
 
@@ -323,74 +326,30 @@ def subquotient_class(h: ExplicitHom, which: str) -> RepClass:
     return iso_identify(ExplicitRep(q, dims, tuple(mats)))
 
 
-def _coefficient_patterns(k: int, max_level: int = 3):
-    """Deterministic sweep of integer coefficient vectors of length k."""
-    for level in range(1, max_level + 1):
-        for coeffs in itertools.product(range(-level, level + 1), repeat=k):
-            if not any(coeffs):
-                continue
-            if max(abs(c) for c in coeffs) != level:
-                continue
-            yield coeffs
-
-
-def _combine_homs(basis: tuple[ExplicitHom, ...], coeffs: tuple[int, ...]) -> ExplicitHom:
-    first = basis[0]
-    q = first.source.quiver
-    mats = []
-    for v in range(q.n):
-        rows = [
-            [sum(c * h.mats[v].rows[i][j] for c, h in zip(coeffs, basis))
-             for j in range(first.source.dims[v])]
-            for i in range(first.target.dims[v])
-        ]
-        mats.append(Mat.from_rows(rows, ncols=first.source.dims[v]))
-    return ExplicitHom(first.source, first.target, tuple(mats))
-
-
-def _is_injective_hom(h: ExplicitHom) -> bool:
-    return all(rank(m) == m.ncols for m in h.mats)
-
-
-@cache
 def middle_term(q: TypeAQuiver, x1: Interval, s1: Interval) -> RepClass:
     """Middle term of the non-split extension of s1 by x1.
 
-    Requires dim Ext^1(s1, x1) = 1; the result is the unique class Y,
-    different from x1 + s1, admitting an embedding of x1 with cokernel s1.
-    Found by scanning all classes of the right dimension and testing
-    embeddings over a deterministic coefficient sweep.
+    Requires dim Ext^1(s1, x1) = 1.  For x1 = [a,b] and s1 = [c,d] the
+    middle term is the endpoint swap [a,d] + [c,b], where a swapped interval
+    whose lower end is one past its upper end is empty and dropped.  The
+    result is certified against the Hom table: it differs from x1 + s1 and
+    degenerates to it.
     """
-    from .quiver import enumerate_rep_classes  # local import keeps module init light
-
     cls_x1 = RepClass(((x1, 1),))
     cls_s1 = RepClass(((s1, 1),))
     if ext_dim(q, cls_s1, cls_x1) != 1:
         raise ValueError(f"Ext^1({s1}, {x1}) must be one-dimensional")
+    pairs = []
+    for lo, hi in ((x1.a, s1.b), (s1.a, x1.b)):
+        if lo == hi + 1:
+            continue
+        if lo > hi:
+            raise InternalCheckError(f"endpoint swap of ({x1}, {s1}) gives [{lo},{hi}]")
+        pairs.append((Interval(lo, hi), 1))
+    middle = RepClass.from_pairs(pairs)
     split = cls_x1.union(cls_s1)
-    target_dim = vec_add(x1.indicator(q.n), s1.indicator(q.n))
-    split_hv = hom_vector(q, split)
-    explicit_x1 = explicit_of(q, cls_x1)
-    matches = []
-    for candidate in enumerate_rep_classes(q, target_dim):
-        if candidate == split:
-            continue
-        hv = hom_vector(q, candidate)
-        # a middle term always degenerates to the split sum
-        if not all(a <= b for a, b in zip(hv, split_hv)):
-            continue
-        basis = hom_basis(explicit_x1, explicit_of(q, candidate))
-        if not basis:
-            continue
-        for coeffs in _coefficient_patterns(len(basis)):
-            h = _combine_homs(basis, coeffs)
-            if not _is_injective_hom(h):
-                continue
-            if subquotient_class(h, "cokernel") == cls_s1:
-                matches.append(candidate)
-                break
-    if len(matches) != 1:
-        raise InternalCheckError(
-            f"expected exactly one non-split middle term for ({x1}, {s1}), found {len(matches)}"
-        )
-    return matches[0]
+    if middle == split or not all(
+        a <= b for a, b in zip(hom_vector(q, middle), hom_vector(q, split))
+    ):
+        raise InternalCheckError(f"{middle} is not a non-split middle term for ({x1}, {s1})")
+    return middle

@@ -150,6 +150,36 @@ def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, "strata", "--quiver", "A3:FF", "--m", "[1,3]",
                            "--n", "[1,1],[2,2],[3,3]", "--sub", "1,0,0")
     assert code == 2  # not a cover: chain has two links
+    for argv in (
+        ("verify", "--quiver", "A2:F", "--dim", "1,1", "--jobs", "x"),
+        ("verify", "--dim", "1,1"),
+        ("frobnicate",),
+        ("betti", "--quiver", "A2:F", "--rep", "[1,1]", "--sub", "1,0", "--method", "guess"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "usage", argv
+
+
+def test_cli_help_is_plain_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quivergrass verify")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "--quiver", "A2:F", "--dim", "1,1", "--json"),
+        ("poset", "--quiver", "A2:F", "--dim", "1,1", "--dot"),
+        ("pbw", "--n", "2", "--i", "1", "--json"),
+    ],
+)
+def test_cli_unwritable_output_path(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "io"
 
 
 def test_cli_writes_files(tmp_path, capsys):

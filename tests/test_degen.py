@@ -10,13 +10,15 @@ from quivergrass.degen import (
     degeneration_poset,
     hom_leq,
 )
-from quivergrass.homalg import ext_dim, hom_vector
+from quivergrass.homalg import ext_dim, hom_basis, hom_dim_classes, hom_vector, subquotient_class
 from quivergrass.quiver import (
     InternalCheckError,
     Interval,
     RepClass,
     TypeAQuiver,
     enumerate_rep_classes,
+    explicit_of,
+    intervals_of,
     semisimple_class,
     vec_boxes,
 )
@@ -171,6 +173,23 @@ def test_bongartz_a3_example():
     assert bd.s_im == cls((1, 1))
     assert bd.s_quot == cls((3, 3))
     assert boundary_check(bd)
+
+
+def test_interval_map_parts_match_explicit_maps():
+    pairs = 0
+    for q in all_quivers(4):
+        for u in intervals_of(q):
+            for v in intervals_of(q):
+                cls_u, cls_v = RepClass(((u, 1),)), RepClass(((v, 1),))
+                if hom_dim_classes(q, cls_u, cls_v) != 1:
+                    with pytest.raises(InternalCheckError, match="expected 1"):
+                        degen._interval_map_parts(q, u, v)
+                    continue
+                h = hom_basis(explicit_of(q, cls_u), explicit_of(q, cls_v))[0]
+                expected = tuple(subquotient_class(h, which) for which in ("kernel", "image", "cokernel"))
+                assert degen._interval_map_parts(q, u, v) == expected, (q.label(), str(u), str(v))
+                pairs += 1
+    assert pairs == 351
 
 
 def test_bongartz_rejects_non_cover():

@@ -3,7 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass import homalg
 from quivergrass.homalg import (
+    ExplicitHom,
     euler_form,
     ext_dim,
     ext_intervals,
@@ -11,14 +13,16 @@ from quivergrass.homalg import (
     hom_dim,
     hom_dim_classes,
     hom_table,
+    hom_vector,
     iso_identify,
     middle_term,
     subquotient_class,
     tau,
 )
-from quivergrass.linalg import Mat
+from quivergrass.linalg import Mat, rank
 from quivergrass.quiver import (
     ExplicitRep,
+    InternalCheckError,
     Interval,
     RepClass,
     TypeAQuiver,
@@ -205,8 +209,86 @@ def test_middle_term_examples():
     assert middle_term(A2, Interval(2, 2), Interval(1, 1)) == cls((1, 2))
     assert middle_term(A3, Interval(3, 3), Interval(1, 2)) == cls((1, 3))
     assert middle_term(A3, Interval(2, 2), Interval(1, 1)) == cls((1, 2))
+    # nested pairs, where "union + intersection" would give [1,3] + [2,2] back
+    assert middle_term(TypeAQuiver(3, "FB"), Interval(2, 2), Interval(1, 3)) == cls((1, 2), (2, 3))
+    assert middle_term(TypeAQuiver(3, "BF"), Interval(1, 3), Interval(2, 2)) == cls((1, 2), (2, 3))
     with pytest.raises(ValueError):
         middle_term(A2, Interval(1, 1), Interval(2, 2))  # Ext vanishes this way
+
+
+def _coefficient_patterns(k, max_level=3):
+    """Deterministic sweep of integer coefficient vectors of length k."""
+    for level in range(1, max_level + 1):
+        for coeffs in itertools.product(range(-level, level + 1), repeat=k):
+            if any(coeffs) and max(abs(c) for c in coeffs) == level:
+                yield coeffs
+
+
+def _combine_homs(basis, coeffs):
+    first = basis[0]
+    mats = []
+    for v in range(first.source.quiver.n):
+        rows = [
+            [sum(c * h.mats[v].rows[i][j] for c, h in zip(coeffs, basis))
+             for j in range(first.source.dims[v])]
+            for i in range(first.target.dims[v])
+        ]
+        mats.append(Mat.from_rows(rows, ncols=first.source.dims[v]))
+    return ExplicitHom(first.source, first.target, tuple(mats))
+
+
+def reference_middle_term(q, x1, s1):
+    """The class Y != x1 + s1 of dim x1 + dim s1 that admits an embedding of
+    x1 with cokernel s1, found by scanning every class of that dimension and
+    trying integer combinations of a Hom basis."""
+    cls_x1 = RepClass(((x1, 1),))
+    cls_s1 = RepClass(((s1, 1),))
+    split = cls_x1.union(cls_s1)
+    split_hv = hom_vector(q, split)
+    explicit_x1 = explicit_of(q, cls_x1)
+    matches = []
+    for candidate in enumerate_rep_classes(q, split.dim(q.n)):
+        if candidate == split:
+            continue
+        # a middle term always degenerates to the split sum
+        if not all(a <= b for a, b in zip(hom_vector(q, candidate), split_hv)):
+            continue
+        basis = hom_basis(explicit_x1, explicit_of(q, candidate))
+        if not basis:
+            continue
+        for coeffs in _coefficient_patterns(len(basis)):
+            h = _combine_homs(basis, coeffs)
+            if all(rank(m) == m.ncols for m in h.mats) and subquotient_class(h, "cokernel") == cls_s1:
+                matches.append(candidate)
+                break
+    assert len(matches) == 1, (q.label(), str(x1), str(s1), matches)
+    return matches[0]
+
+
+def test_middle_term_matches_reference_search():
+    pairs = 0
+    for q in all_quivers(5):
+        for x1 in intervals_of(q):
+            for s1 in intervals_of(q):
+                if ext_intervals(q, s1, x1) != 1:
+                    continue
+                assert middle_term(q, x1, s1) == reference_middle_term(q, x1, s1), (
+                    q.label(), str(x1), str(s1)
+                )
+                pairs += 1
+    assert pairs == 702
+
+
+def test_middle_term_certificate_raises(monkeypatch):
+    monkeypatch.setattr(homalg, "hom_vector", lambda q, m: (1,) if m == cls((1, 2)) else (0,))
+    with pytest.raises(InternalCheckError, match="not a non-split middle term"):
+        middle_term(A2, Interval(2, 2), Interval(1, 1))
+    monkeypatch.undo()
+    monkeypatch.setattr(homalg, "ext_dim", lambda q, m, n: 1)
+    with pytest.raises(InternalCheckError, match="not a non-split middle term"):
+        middle_term(A2, Interval(1, 1), Interval(1, 1))  # the swap gives the split sum back
+    with pytest.raises(InternalCheckError, match="endpoint swap"):
+        middle_term(A3, Interval(1, 1), Interval(3, 3))  # [3,1] is not an interval
 
 
 def test_middle_term_can_be_decomposable():
