@@ -135,13 +135,12 @@ def cmd_poset(args) -> int:
         "covers": [[m.text(), n.text()] for m, n in poset.covers],
         "dot": dot,
     }
+    if args.dot and args.dot != "-":
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(dot + "\n")
     _emit(payload, args.json)
-    if args.dot:
-        if args.dot == "-":
-            print(dot)
-        else:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot + "\n")
+    if args.dot == "-":
+        print(dot)
     return 0
 
 
@@ -205,6 +204,8 @@ def cmd_strata(args) -> int:
 def cmd_verify(args) -> int:
     q = parse_quiver(args.quiver)
     d = parse_vec(args.dim, q.n)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     summary = verify_theorem(q, d, jobs=args.jobs)
     payload = {
         "quiver": q.label(),

@@ -3,7 +3,11 @@
 Route one is a stratification recursion: peel off a summand S with
 Ext^1(S, rest) = 0; the subrepresentations of rest + S of dimension e fiber
 over pairs (A, B) of subrepresentations of the two factors, with affine
-fibers of dimension <dim B, dim rest - dim A>.  Route two is an oracle:
+fibers of dimension <dim B, dim rest - dim A>.  S is an interval module, so
+each B is a point fixed by its dimension vector g, and
+P(m, e) = sum over g of q^<g, dim rest - (e - g)> P(rest, e - g).  The
+recursion is memoised per (class, e, peel order), and the zero class is its
+only base case (a point at e = 0, empty elsewhere).  Route two is an oracle:
 count subrepresentations over several prime fields, then interpolate the
 counting polynomial (Grassmannians here are paved by affine cells, so the
 count is a polynomial in the field size whose coefficients are the even
@@ -34,7 +38,7 @@ from .quiver import (
     RepClass,
     TypeAQuiver,
     explicit_of,
-    try_vec_sub,
+    vec_boxes,
     vec_leq,
     vec_sub,
 )
@@ -111,9 +115,6 @@ class PoincarePoly:
     def is_nonneg(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
@@ -189,48 +190,42 @@ def peel_order(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> tuple[Inte
     return tuple(order)
 
 
-_BETTI_CACHE: dict = {}
-
-
 def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_peel: bool = False) -> PoincarePoly:
-    """Poincare polynomial of the quiver Grassmannian of m at e, by peeling."""
+    """Poincare polynomial of the quiver Grassmannian of m at e, by peeling.
+
+    Zero when some entry of e is negative or exceeds dim m; reverse_peel
+    peels in the other tie-break order, which must give the same answer.
+    """
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
-    d = m.dim(q.n)
-    if any(x < 0 for x in e) or not vec_leq(e, d):
-        return PoincarePoly.zero()
     return _betti(q, m, e, reverse_peel)
 
 
+@cache
+def _sub_vectors(q: TypeAQuiver, u: Interval) -> tuple[tuple[int, ...], ...]:
+    """Dimension vectors of the subrepresentations of the interval module u."""
+    return tuple(g for g in vec_boxes(u.indicator(q.n)) if gr_interval(q, u, g))
+
+
+@cache
 def _betti(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], reverse: bool) -> PoincarePoly:
-    key = (q, m, e, reverse)
-    hit = _BETTI_CACHE.get(key)
-    if hit is not None:
-        return hit
     if not m.pairs:
-        result = PoincarePoly.one()  # e <= 0 vector here, so e = 0
-    elif m.num_copies() == 1:
-        result = gr_interval(q, m.pairs[0][0], e)
-    else:
-        quot = peel_order(q, m, reverse)[0]
-        rest = m.remove_one(quot)
-        d_rest = rest.dim(q.n)
-        ind = quot.indicator(q.n)
-        result = PoincarePoly.zero()
-        for g in itertools.product(*(range(min(a, b) + 1) for a, b in zip(e, ind))):
-            f = vec_sub(e, g)
-            if not vec_leq(f, d_rest):
-                continue
-            pf = _betti(q, rest, f, reverse)
-            if not pf:
-                continue
-            if not gr_interval(q, quot, g):
-                continue
-            exponent = euler_form(q, g, vec_sub(d_rest, f))
-            if exponent < 0:
-                raise InternalCheckError(f"negative fiber dimension peeling {quot} from {m} at e={e}")
-            result = result + pf.shift(exponent)
-    _BETTI_CACHE[key] = result
+        return PoincarePoly.zero() if any(e) else PoincarePoly.one()
+    quot = peel_order(q, m, reverse)[0]
+    rest = m.remove_one(quot)
+    d_rest = rest.dim(q.n)
+    result = PoincarePoly.zero()
+    for g in _sub_vectors(q, quot):
+        f = tuple(x - y for x, y in zip(e, g))
+        if not all(0 <= x <= y for x, y in zip(f, d_rest)):
+            continue
+        pf = _betti(q, rest, f, reverse)
+        if not pf:
+            continue
+        exponent = euler_form(q, g, vec_sub(d_rest, f))
+        if exponent < 0:
+            raise InternalCheckError(f"negative fiber dimension peeling {quot} from {m} at e={e}")
+        result = result + pf.shift(exponent)
     return result
 
 
@@ -491,7 +486,6 @@ class StratumRecord:
     base_poly: PoincarePoly
 
 
-@cache
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
     """Stratum records of the degeneration bd at subdimension e.
 
@@ -510,10 +504,8 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     records = []
     for f in itertools.product(*(range(x + 1) for x in e)):
         g = vec_sub(e, f)
-        g_red = try_vec_sub(g, s_vec)
-        base1 = PoincarePoly.zero()
-        if g_red is not None:
-            base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
+        g_red = tuple(x - y for x, y in zip(g, s_vec))
+        base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
         product = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g)
         base0 = product - base1
         if not base0.is_nonneg():

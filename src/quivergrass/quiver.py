@@ -115,9 +115,6 @@ class RepClass:
     def total_dim(self) -> int:
         return sum(k * (u.b - u.a + 1) for u, k in self.pairs)
 
-    def is_semisimple(self) -> bool:
-        return all(u.a == u.b for u, _ in self.pairs)
-
     def union(self, other: "RepClass") -> "RepClass":
         return RepClass.from_pairs(self.pairs + other.pairs)
 
@@ -165,12 +162,6 @@ def _intervals_of(n: int) -> tuple[Interval, ...]:
     return tuple(Interval(a, b) for a in range(1, n + 1) for b in range(a, n + 1))
 
 
-def vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Componentwise difference; rejects any negative component."""
     if len(a) != len(b):
@@ -179,14 +170,6 @@ def vec_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if any(x < 0 for x in out):
         raise ValueError(f"negative component in {a} - {b}")
     return out
-
-
-def try_vec_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Like vec_sub but returns None when some component would go negative."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    out = tuple(x - y for x, y in zip(a, b))
-    return None if any(x < 0 for x in out) else out
 
 
 def vec_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -319,7 +302,3 @@ def injective_intervals(q: TypeAQuiver) -> tuple[Interval, ...]:
 
 def is_projective(q: TypeAQuiver, u: Interval) -> bool:
     return u in projective_intervals(q)
-
-
-def is_injective(q: TypeAQuiver, u: Interval) -> bool:
-    return u in injective_intervals(q)

@@ -147,10 +147,14 @@ def verify_theorem(
     semisimple product of Gaussian binomials.
 
     Failures are collected, not raised: a failure would falsify the
-    implementation, so the summary reports them for inspection.  A rough
+    implementation, so the summary reports them for inspection.  The covers
+    run in a process pool of min(jobs, covers, CPUs) workers when that is
+    more than one; jobs below 1 is a ValueError.  A rough
     work estimate is compared against the budget first; raise it explicitly
     for larger-than-desk-scale sweeps.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     poset = degeneration_poset(q, d)
     es = vec_boxes(d)
     work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * len(es)
@@ -159,8 +163,9 @@ def verify_theorem(
     failures: list[str] = []
     kernels: list[tuple[RepClass, RepClass, tuple[int, ...], PoincarePoly]] = []
     tasks = [(q, m, n, es) for (m, n) in poset.covers]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), default_jobs())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cover, tasks))
     else:
         results = [_sweep_cover(t) for t in tasks]
@@ -173,17 +178,21 @@ def verify_theorem(
                 failures.append(f"monotonicity fails: {m} -> {n} at e={e}")
             if not identity_ok:
                 failures.append(f"kernel identity fails: {m} -> {n} at e={e}")
+    top = semisimple_class(q, d)
+    bounds = []
+    for e in es:
+        bound = PoincarePoly.one()
+        for dv, ev in zip(d, e):
+            bound = bound * gaussian_binomial(dv, ev)
+        bounds.append(bound)
     bound_checks = 0
     for node in poset.nodes:
-        for e in es:
+        for e, bound in zip(es, bounds):
             bound_checks += 1
-            bound = PoincarePoly.one()
-            for dv, ev in zip(d, e):
-                bound = bound * gaussian_binomial(dv, ev)
             value = betti_recursion(q, node, e)
             if not value.leq(bound):
                 failures.append(f"Grassmannian-product bound fails: {node} at e={e}")
-            if node == semisimple_class(q, d) and value != bound:
+            if node == top and value != bound:
                 failures.append(f"semisimple class misses the product bound at e={e}")
     return VerifySummary(
         q,

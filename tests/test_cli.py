@@ -152,6 +152,8 @@ def test_cli_usage_errors(capsys):
     assert code == 2  # not a cover: chain has two links
     for argv in (
         ("verify", "--quiver", "A2:F", "--dim", "1,1", "--jobs", "x"),
+        ("verify", "--quiver", "A2:F", "--dim", "1,1", "--jobs", "0"),
+        ("verify", "--quiver", "A2:F", "--dim", "1,1", "--jobs", "-1"),
         ("verify", "--dim", "1,1"),
         ("frobnicate",),
         ("betti", "--quiver", "A2:F", "--rep", "[1,1]", "--sub", "1,0", "--method", "guess"),
@@ -177,8 +179,9 @@ def test_cli_help_is_plain_usage(capsys):
     ],
 )
 def test_cli_unwritable_output_path(tmp_path, capsys, argv):
-    code, _, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.json"))
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.json"))
     assert code == 2
+    assert out == ""
     assert json.loads(err)["error"]["type"] == "io"
 
 

@@ -17,7 +17,7 @@ from quivergrass.grass import (
     strata_sum,
     strata_table,
 )
-from quivergrass.homalg import ext_intervals
+from quivergrass.homalg import euler_form, ext_intervals
 from quivergrass.quiver import (
     Interval,
     RepClass,
@@ -26,6 +26,8 @@ from quivergrass.quiver import (
     intervals_of,
     semisimple_class,
     vec_boxes,
+    vec_leq,
+    vec_sub,
 )
 
 A2 = TypeAQuiver(2, "F")
@@ -109,6 +111,67 @@ def test_betti_pinned_values():
     value = betti_recursion(A2, mi, (1, 2))
     assert value == poly(1, 2, 3, 1)
     assert value.eval_at(1) == 7
+
+
+_REFERENCE_MEMO: dict = {}
+
+
+def reference_betti(q, m, e, reverse=False):
+    """The peeling recursion with a single-copy base case, one memo dict and
+    every vector g <= e under the peeled interval tried against gr_interval."""
+    if any(x < 0 for x in e) or not vec_leq(e, m.dim(q.n)):
+        return PoincarePoly.zero()
+    key = (q, m, e, reverse)
+    hit = _REFERENCE_MEMO.get(key)
+    if hit is not None:
+        return hit
+    if not m.pairs:
+        result = PoincarePoly.one()
+    elif m.num_copies() == 1:
+        result = gr_interval(q, m.pairs[0][0], e)
+    else:
+        quot = peel_order(q, m, reverse)[0]
+        rest = m.remove_one(quot)
+        d_rest = rest.dim(q.n)
+        ind = quot.indicator(q.n)
+        result = PoincarePoly.zero()
+        for g in itertools.product(*(range(min(a, b) + 1) for a, b in zip(e, ind))):
+            f = vec_sub(e, g)
+            if not vec_leq(f, d_rest):
+                continue
+            pf = reference_betti(q, rest, f, reverse)
+            if pf and gr_interval(q, quot, g):
+                exponent = euler_form(q, g, vec_sub(d_rest, f))
+                assert exponent >= 0
+                result = result + pf.shift(exponent)
+    _REFERENCE_MEMO[key] = result
+    return result
+
+
+def test_betti_matches_reference_recursion():
+    checked = 0
+    for q in all_quivers(3):
+        for d in vec_boxes(tuple([2] * q.n)):
+            for m in enumerate_rep_classes(q, d):
+                for e in vec_boxes(d):
+                    for reverse in (False, True):
+                        expected = reference_betti(q, m, e, reverse)
+                        assert betti_recursion(q, m, e, reverse_peel=reverse) == expected, (
+                            q.label(), m.text(), e, reverse
+                        )
+                        checked += 1
+    assert checked == 7820
+
+
+def test_betti_out_of_range_e_is_zero():
+    m = RepClass.from_pairs([(Interval(1, 2), 2), (Interval(2, 3), 1)])
+    for q in (A3, TypeAQuiver(3, "BF")):
+        for e in ((-1, 0, 0), (0, -1, 1), (3, 0, 0), (1, 4, 1), (0, 0, 2), (2, 3, 2)):
+            for reverse in (False, True):
+                assert betti_recursion(q, m, e, reverse_peel=reverse) == PoincarePoly.zero()
+        assert betti_recursion(q, RepClass.empty(), (0, -1, 0)) == PoincarePoly.zero()
+    with pytest.raises(ValueError, match="length"):
+        betti_recursion(A3, m, (1, 1))
 
 
 def test_point_count_examples():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quivergrass import specialize
 from quivergrass.degen import degeneration_poset, hom_leq
 from quivergrass.grass import PoincarePoly, betti_recursion
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver, vec_boxes
@@ -153,6 +154,46 @@ def test_verify_theorem_parallel_matches_serial():
     parallel = verify_theorem(A3, (1, 1, 1), jobs=2)
     assert serial.kernels == parallel.kernels
     assert serial.failures == parallel.failures
+
+
+def test_verify_theorem_rejects_jobs_below_one():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_theorem(A3, (1, 1, 1), jobs=jobs)
+
+
+def test_verify_theorem_pool_size_is_capped(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(specialize, "ProcessPoolExecutor", RecordingPool)
+    serial = verify_theorem(A3, (1, 1, 1), jobs=1)
+    covers = serial.covers
+    assert covers > 3
+    for cpus, jobs, workers in (
+        (2, 10**9, [2]),
+        (64, 10**9, [covers]),
+        (64, 3, [3]),
+        (1, 10**9, []),
+        (64, 1, []),
+    ):
+        monkeypatch.setattr(specialize, "default_jobs", lambda: cpus)
+        requested.clear()
+        summary = verify_theorem(A3, (1, 1, 1), jobs=jobs)
+        assert requested == workers, (cpus, jobs)
+        assert summary == serial
 
 
 def test_pbw_rep_examples():
