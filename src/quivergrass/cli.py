@@ -207,11 +207,12 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     summary = verify_theorem(q, d, jobs=args.jobs)
+    covers = dict.fromkeys((m, n) for m, n, _, _ in summary.kernels)
     payload = {
         "quiver": q.label(),
         "dim": list(d),
         "sub": None,
-        "covers": [[m.text(), n.text()] for m, n, _, _ in _unique_covers(summary)],
+        "covers": [[m.text(), n.text()] for m, n in covers],
         "checks": [
             {
                 "kind": "cover",
@@ -237,16 +238,6 @@ def cmd_verify(args) -> int:
     }
     _emit(payload, args.json)
     return 0 if not summary.failures else 1
-
-
-def _unique_covers(summary):
-    seen = set()
-    out = []
-    for m, n, e, kernel in summary.kernels:
-        if (m, n) not in seen:
-            seen.add((m, n))
-            out.append((m, n, e, kernel))
-    return out
 
 
 def cmd_pbw(args) -> int:

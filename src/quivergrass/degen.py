@@ -78,21 +78,16 @@ class DegenPoset:
     def _position(self) -> dict[RepClass, int]:
         return {m: i for i, m in enumerate(self.nodes)}
 
-    @cached_property
-    def _cover_set(self) -> frozenset[tuple[RepClass, RepClass]]:
-        return frozenset(self.covers)
-
     def index(self, m: RepClass) -> int:
         try:
             return self._position[m]
         except KeyError:
             raise ValueError(f"{m} has no summand decomposition of dimension {self.d}") from None
 
-    def leq_pair(self, m: RepClass, n: RepClass) -> bool:
-        return bool(self.up[self.index(m)] >> self.index(n) & 1)
-
     def is_cover(self, m: RepClass, n: RepClass) -> bool:
-        return (m, n) in self._cover_set
+        """Whether n covers m; False when either class is not a node."""
+        i, j = self._position.get(m), self._position.get(n)
+        return i is not None and j is not None and bool(self.succ[i] >> j & 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -168,14 +163,6 @@ class BongartzData:
     x_ker: RepClass
     s_im: RepClass
     s_quot: RepClass
-
-    @property
-    def m_class(self) -> RepClass:
-        return self.middle.union(self.common)
-
-    @property
-    def n_class(self) -> RepClass:
-        return RepClass.from_pairs(((self.x1, 1), (self.s1, 1))).union(self.common)
 
     @property
     def x_class(self) -> RepClass:

@@ -195,10 +195,17 @@ def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_
 
     Zero when some entry of e is negative or exceeds dim m; reverse_peel
     peels in the other tie-break order, which must give the same answer.
+    The peel nests one call per summand copy, so a class with more copies
+    than the interpreter's recursion limit allows is a ValueError.
     """
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
-    return _betti(q, m, e, reverse_peel)
+    try:
+        return _betti(q, m, e, reverse_peel)
+    except RecursionError:
+        raise ValueError(
+            f"{len(m.copies())} summand copies nest the peeling recursion too deep"
+        ) from None
 
 
 @cache

@@ -31,7 +31,6 @@ from .quiver import (
     explicit_of,
     injective_intervals,
     intervals_of,
-    is_projective,
     projective_intervals,
 )
 
@@ -209,41 +208,32 @@ def _as_interval(vec: tuple[Fraction, ...]) -> Interval | None:
 def _tau_maps(q: TypeAQuiver) -> tuple[dict[Interval, Interval], dict[Interval, Interval]]:
     """Forward and inverse translate tables from the Coxeter transform.
 
-    The convention (Cartan matrix vs its transpose) is fixed by requiring
-    that the transform of dim U is an interval indicator exactly when U is
-    not projective; the surviving convention must also biject the
-    non-projectives onto the non-injectives.
+    The transform is Phi = -C^T C^-1 for the Cartan matrix C whose columns
+    are the dimension vectors of the projectives.  It is checked to send
+    dim U to an interval indicator exactly when U is not projective, and to
+    biject the non-projectives onto the non-injectives.
     """
     projectives = projective_intervals(q)
     cartan = Mat.from_rows(
         [[projectives[i].indicator(q.n)[v] for i in range(q.n)] for v in range(q.n)],
         ncols=q.n,
     )
-    cartan_inv = solve(cartan, Mat.identity(q.n))
-    first = _neg(cartan.transpose().mul(cartan_inv))
-    for phi in (first, first.transpose()):
-        forward: dict[Interval, Interval] = {}
-        ok = True
-        for u in intervals_of(q):
-            image = phi.mul(Mat.from_rows([[x] for x in u.indicator(q.n)], ncols=1))
-            w = _as_interval(image.col(0))
-            if is_projective(q, u):
-                if w is not None:
-                    ok = False
-                    break
-            else:
-                if w is None:
-                    ok = False
-                    break
-                forward[u] = w
-        if not ok:
-            continue
-        non_injectives = set(intervals_of(q)) - set(injective_intervals(q))
-        if set(forward.values()) != non_injectives or len(set(forward.values())) != len(forward):
-            continue
-        inverse = {w: u for u, w in forward.items()}
-        return forward, inverse
-    raise InternalCheckError("no Coxeter convention yields a valid translate")
+    phi = _neg(cartan.transpose().mul(solve(cartan, Mat.identity(q.n))))
+    forward: dict[Interval, Interval] = {}
+    for u in intervals_of(q):
+        image = phi.mul(Mat.from_rows([[x] for x in u.indicator(q.n)], ncols=1))
+        w = _as_interval(image.col(0))
+        projective = u in projectives
+        if (w is None) != projective:
+            kind = "projective" if projective else "non-projective"
+            raise InternalCheckError(f"Coxeter transform sends dim {u} of a {kind} to {w}")
+        if w is not None:
+            forward[u] = w
+    non_injectives = set(intervals_of(q)) - set(injective_intervals(q))
+    if set(forward.values()) != non_injectives or len(set(forward.values())) != len(forward):
+        raise InternalCheckError("Coxeter transform does not biject non-projectives onto non-injectives")
+    inverse = {w: u for u, w in forward.items()}
+    return forward, inverse
 
 
 def tau(q: TypeAQuiver, u: Interval, direction: str = "forward") -> Interval | None:

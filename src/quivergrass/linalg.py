@@ -79,9 +79,6 @@ class Mat:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(x) for x in row) + "]" for row in self.rows)
 

@@ -43,9 +43,6 @@ class TypeAQuiver:
             return (k + 1, k + 2)
         return (k + 2, k + 1)
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.edge(k) for k in range(self.n - 1))
-
     def label(self) -> str:
         return f"A{self.n}:{self.orient}" if self.orient else f"A{self.n}"
 
@@ -102,18 +99,12 @@ class RepClass:
     def intervals(self) -> tuple[Interval, ...]:
         return tuple(u for u, _ in self.pairs)
 
-    def num_copies(self) -> int:
-        return sum(k for _, k in self.pairs)
-
     def dim(self, n: int) -> tuple[int, ...]:
         d = [0] * n
         for u, k in self.pairs:
             for v in range(u.a, u.b + 1):
                 d[v - 1] += k
         return tuple(d)
-
-    def total_dim(self) -> int:
-        return sum(k * (u.b - u.a + 1) for u, k in self.pairs)
 
     def union(self, other: "RepClass") -> "RepClass":
         return RepClass.from_pairs(self.pairs + other.pairs)
@@ -186,7 +177,6 @@ def vec_boxes(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@cache
 def enumerate_rep_classes(q: TypeAQuiver, d: tuple[int, ...]) -> tuple[RepClass, ...]:
     """All multisets of intervals with total dimension vector d, canonically sorted."""
     if len(d) != q.n:
@@ -282,23 +272,9 @@ def reachable_interval(q: TypeAQuiver, i: int, follow_arrows: bool) -> Interval:
     return Interval(lo, hi)
 
 
-def projective_interval(q: TypeAQuiver, i: int) -> Interval:
-    return reachable_interval(q, i, follow_arrows=True)
-
-
-def injective_interval(q: TypeAQuiver, i: int) -> Interval:
-    return reachable_interval(q, i, follow_arrows=False)
-
-
-@cache
 def projective_intervals(q: TypeAQuiver) -> tuple[Interval, ...]:
-    return tuple(projective_interval(q, i) for i in range(1, q.n + 1))
+    return tuple(reachable_interval(q, i, follow_arrows=True) for i in range(1, q.n + 1))
 
 
-@cache
 def injective_intervals(q: TypeAQuiver) -> tuple[Interval, ...]:
-    return tuple(injective_interval(q, i) for i in range(1, q.n + 1))
-
-
-def is_projective(q: TypeAQuiver, u: Interval) -> bool:
-    return u in projective_intervals(q)
+    return tuple(reachable_interval(q, i, follow_arrows=False) for i in range(1, q.n + 1))

@@ -24,6 +24,7 @@ from .grass import (
     strata_table,
 )
 from .quiver import (
+    InternalCheckError,
     Interval,
     RepClass,
     TypeAQuiver,
@@ -70,14 +71,6 @@ def _cover_check(q: TypeAQuiver, m: RepClass, n: RepClass, e: tuple[int, ...]) -
     monotone = p_m.leq(p_n)
     identity_ok = kernel == strata_sum(records, 1)
     return CoverCheck(m, n, e, p_n, p_m, kernel, records, monotone, identity_ok)
-
-
-def check_cover(q: TypeAQuiver, m: RepClass, n: RepClass, e: tuple[int, ...]) -> SpecializationReport:
-    """Check one minimal degeneration: monotone Betti numbers and exact kernel."""
-    check = _cover_check(q, m, n, e)
-    return SpecializationReport(
-        q, m, n, e, (check,), check.p_n, check.p_m, check.kernel, check.monotone, check.identity_ok
-    )
 
 
 def saturated_chain(q: TypeAQuiver, m: RepClass, n: RepClass) -> tuple[RepClass, ...]:
@@ -238,8 +231,8 @@ def pbw_rep(n: int, i_tuple: tuple[int, ...]) -> tuple[RepClass, tuple[int, ...]
     d = tuple(n + 1 for _ in range(n))
     e = tuple(range(1, n + 1))
     if rep.dim(n) != d:
-        raise AssertionError(f"pbw class has dimension {rep.dim(n)}, expected {d}")
+        raise InternalCheckError(f"pbw class has dimension {rep.dim(n)}, expected {d}")
     flag_class = RepClass.from_pairs([(projective(1), n + 1)])
     if not hom_leq(q, flag_class, rep):
-        raise AssertionError("full projective class does not degenerate to the pbw class")
+        raise InternalCheckError("full projective class does not degenerate to the pbw class")
     return rep, d, e

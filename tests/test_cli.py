@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass import specialize
 from quivergrass.cli import UsageError, main, parse_quiver, parse_rep, parse_vec
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver
 
@@ -17,7 +18,7 @@ def test_parse_quiver_examples():
     q = parse_quiver("A2:F")
     assert (q.n, q.orient) == (2, "F")
     q = parse_quiver("A3:FB")
-    assert q.edges() == ((1, 2), (3, 2))
+    assert (q.edge(0), q.edge(1)) == ((1, 2), (3, 2))
     assert parse_quiver("A1").n == 1
     assert parse_quiver("A1:").n == 1
     with pytest.raises(UsageError, match="position"):
@@ -161,6 +162,23 @@ def test_cli_usage_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "usage", argv
+
+
+def test_cli_betti_too_many_copies_is_a_value_error(capsys):
+    code, out, err = run_cli(
+        capsys, "betti", "--quiver", "A1", "--rep", "[1,1]x500", "--sub", "1", "--method", "recursion"
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "value" and "500 summand copies" in error["message"]
+
+
+def test_cli_pbw_internal_check(monkeypatch, capsys):
+    monkeypatch.setattr(specialize, "hom_leq", lambda q, m, n: False)
+    code, out, err = run_cli(capsys, "pbw", "--n", "2", "--i", "1")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "internal-check" and "does not degenerate" in error["message"]
 
 
 def test_cli_help_is_plain_usage(capsys):

@@ -2,6 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quivergrass import degen
 from quivergrass.degen import (
@@ -59,9 +60,9 @@ def test_poset_diamond_a3():
     assert len(poset.nodes) == 4
     assert len(poset.covers) == 4
     mid1, mid2 = cls((1, 2), (3, 3)), cls((1, 1), (2, 3))
-    assert not poset.leq_pair(mid1, mid2)
-    assert not poset.leq_pair(mid2, mid1)
-    assert poset.leq_pair(cls((1, 3)), semisimple_class(A3, (1, 1, 1)))
+    assert not hom_leq(A3, mid1, mid2)
+    assert not hom_leq(A3, mid2, mid1)
+    assert hom_leq(A3, cls((1, 3)), semisimple_class(A3, (1, 1, 1)))
 
 
 def test_poset_single_class():
@@ -98,9 +99,8 @@ def test_poset_matches_reference_rule():
             assert poset.nodes == nodes
             assert poset.covers == covers
             assert poset.leq == leq
-            for i, m in enumerate(nodes):
-                for j, n in enumerate(nodes):
-                    assert poset.leq_pair(m, n) == leq[i][j]
+            for m in nodes:
+                for n in nodes:
                     assert poset.is_cover(m, n) == ((m, n) in covers)
 
 
@@ -121,6 +121,8 @@ def test_poset_index_rejects_foreign_class():
     with pytest.raises(ValueError, match="no summand decomposition"):
         poset.index(cls((1, 1)))
     assert not poset.is_cover(cls((1, 1)), cls((1, 2)))
+    assert not poset.is_cover(cls((1, 2)), cls((1, 1)))
+    assert poset.is_cover(cls((1, 2)), cls((1, 1), (2, 2)))
 
 
 def test_poset_checks_raise(monkeypatch):
@@ -139,7 +141,7 @@ def test_semisimple_is_unique_maximum():
         for d in vec_boxes(tuple([2] * q.n)):
             poset = degeneration_poset(q, d)
             top = semisimple_class(q, d)
-            assert all(poset.leq_pair(m, top) for m in poset.nodes)
+            assert all(hom_leq(q, m, top) for m in poset.nodes)
 
 
 def test_cover_invariants():
@@ -222,10 +224,26 @@ def test_bongartz_reconstruction_and_conditions_sweep():
             poset = degeneration_poset(q, d)
             for m, n in poset.covers:
                 bd = bongartz_data(q, m, n)
-                assert bd.m_class == m
-                assert bd.n_class == n
+                assert bd.middle.union(bd.common) == m
+                assert RepClass.from_copies((bd.x1, bd.s1)).union(bd.common) == n
                 assert bd.x_rest.union(bd.s_rest) == bd.common
                 assert ext_dim(q, bd.s_class, bd.x_class) == 1
                 assert ext_dim(q, RepClass(((bd.x1, 1),)), bd.x_rest) == 0
                 assert ext_dim(q, bd.s_rest, RepClass(((bd.s1, 1),))) == 0
                 assert boundary_check(bd)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bongartz_data_passes_boundary_check_a4_a5(data):
+    # interval arithmetic against the explicit route on random covers of
+    # A4/A5 orientations with d <= 2 componentwise
+    size = data.draw(st.sampled_from((4, 5)))
+    q = TypeAQuiver(size, data.draw(st.text(alphabet="FB", min_size=size - 1, max_size=size - 1)))
+    d = tuple(data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    covers = degeneration_poset(q, d).covers
+    assume(covers)
+    m, n = data.draw(st.sampled_from(covers))
+    bd = bongartz_data(q, m, n)
+    assert bd.middle.union(bd.common) == m
+    assert boundary_check(bd)

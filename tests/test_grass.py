@@ -127,7 +127,7 @@ def reference_betti(q, m, e, reverse=False):
         return hit
     if not m.pairs:
         result = PoincarePoly.one()
-    elif m.num_copies() == 1:
+    elif len(m.copies()) == 1:
         result = gr_interval(q, m.pairs[0][0], e)
     else:
         quot = peel_order(q, m, reverse)[0]

@@ -29,7 +29,7 @@ from quivergrass.quiver import (
     enumerate_rep_classes,
     explicit_of,
     intervals_of,
-    is_projective,
+    projective_intervals,
 )
 
 A2 = TypeAQuiver(2, "F")
@@ -83,7 +83,7 @@ def test_class_level_hom_matches_explicit():
         classes = [m for d in all_dims(q.n, 3) for m in enumerate_rep_classes(q, d)]
         for m in classes:
             for n in classes:
-                if m.total_dim() + n.total_dim() > 5:
+                if sum(m.dim(q.n)) + sum(n.dim(q.n)) > 5:
                     continue
                 assert hom_dim_classes(q, m, n) == hom_dim(explicit_of(q, m), explicit_of(q, n))
 
@@ -118,15 +118,26 @@ def test_tau_round_trip():
 
 def test_ar_formula_dimension_level():
     # dim Ext^1(s, x) = dim Hom(x, tau s) whenever s is not projective
-    for q in all_quivers(4):
+    for q in all_quivers(5):
         for s in intervals_of(q):
-            if is_projective(q, s):
+            if s in projective_intervals(q):
                 continue
             ts = tau(q, s)
             for x in intervals_of(q):
                 lhs = ext_intervals(q, s, x)
                 rhs = hom_dim_classes(q, RepClass(((x, 1),)), RepClass(((ts, 1),)))
                 assert lhs == rhs, (q.label(), str(s), str(x))
+
+
+def test_tau_maps_checks_raise(monkeypatch):
+    build = homalg._tau_maps.__wrapped__
+    monkeypatch.setattr(homalg, "_as_interval", lambda vec: None)
+    with pytest.raises(InternalCheckError, match="of a non-projective"):
+        build(A3)
+    monkeypatch.undo()
+    monkeypatch.setattr(homalg, "injective_intervals", lambda q: ())
+    with pytest.raises(InternalCheckError, match="non-injectives"):
+        build(A3)
 
 
 def test_no_ext_cycles():
@@ -158,7 +169,7 @@ def test_iso_round_trip_sampled(q, data):
     intervals = list(intervals_of(q))
     copies = data.draw(st.lists(st.sampled_from(intervals), min_size=0, max_size=4))
     m = RepClass.from_copies(copies)
-    if m.total_dim() > 6:
+    if sum(m.dim(q.n)) > 6:
         return
     assert iso_identify(explicit_of(q, m)) == m
 

@@ -7,9 +7,9 @@ from quivergrass.quiver import (
     TypeAQuiver,
     enumerate_rep_classes,
     explicit_of,
-    injective_interval,
+    injective_intervals,
     intervals_of,
-    projective_interval,
+    projective_intervals,
     semisimple_class,
     vec_leq,
     vec_sub,
@@ -33,7 +33,7 @@ def class_strategy(q, max_total=5):
     intervals = list(intervals_of(q))
     return st.lists(st.sampled_from(intervals), min_size=0, max_size=max_total).map(
         RepClass.from_copies
-    ).filter(lambda m: m.total_dim() <= max_total)
+    ).filter(lambda m: sum(m.dim(q.n)) <= max_total)
 
 
 def test_quiver_validation():
@@ -44,7 +44,8 @@ def test_quiver_validation():
     with pytest.raises(ValueError):
         TypeAQuiver(2, "X")
     assert TypeAQuiver(1, "").label() == "A1"
-    assert TypeAQuiver(3, "FB").edges() == ((1, 2), (3, 2))
+    fb = TypeAQuiver(3, "FB")
+    assert (fb.edge(0), fb.edge(1)) == ((1, 2), (3, 2))
 
 
 def test_intervals_of():
@@ -151,12 +152,11 @@ def test_vec_sub_rejects_negative():
 
 
 def test_projective_injective_intervals():
-    assert projective_interval(A2, 1) == Interval(1, 2)
-    assert projective_interval(A2, 2) == Interval(2, 2)
-    assert injective_interval(A2, 2) == Interval(1, 2)
+    assert projective_intervals(A2) == (Interval(1, 2), Interval(2, 2))
+    assert injective_intervals(A2) == (Interval(1, 1), Interval(1, 2))
     fb = TypeAQuiver(3, "FB")
-    assert projective_interval(fb, 3) == Interval(2, 3)
-    assert injective_interval(fb, 2) == Interval(1, 3)
+    assert projective_intervals(fb) == (Interval(1, 2), Interval(2, 2), Interval(2, 3))
+    assert injective_intervals(fb) == (Interval(1, 1), Interval(1, 3), Interval(3, 3))
 
 
 def test_semisimple_class():
