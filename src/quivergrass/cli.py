@@ -87,10 +87,10 @@ def parse_vec(text: str, n: int) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != n:
         raise UsageError(f"expected {n} comma-separated entries, got {len(parts)}")
-    try:
-        vec = tuple(int(part) for part in parts)
-    except ValueError as exc:
-        raise UsageError(f"non-integer entry in vector {text!r}") from exc
+    bad = next((part for part in parts if not re.fullmatch(r"[+-]?\d+", part)), None)
+    if bad is not None:
+        raise UsageError(f"non-integer entry {bad!r} in vector {text!r}")
+    vec = tuple(int(part) for part in parts)
     if any(x < 0 for x in vec):
         raise UsageError("vector entries must be non-negative")
     return vec
@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pbw(args) -> int:
-    i_tuple = tuple(int(part) for part in args.i.split(",")) if args.i else ()
+    i_tuple = parse_vec(args.i, args.i.count(",") + 1)
     rep, d, e = pbw_rep(args.n, i_tuple)
     q = TypeAQuiver(args.n, "F" * (args.n - 1))
     flag_class = RepClass.from_pairs([(Interval(1, args.n), args.n + 1)])

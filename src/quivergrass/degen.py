@@ -7,12 +7,12 @@ threshold mask per interval and Hom count.  Minimal degenerations are the
 covers of that poset: the strict up-set of m minus everything strictly above
 a member of it.  Every cover decomposes as
 m = Y1 + common, n = x1 + s1 + common with a non-split extension
-0 -> x1 -> Y1 -> s1 -> 0, and common splits as X' + S' so that the sequence
-0 -> x1 + X' -> m -> s1 + S' -> 0 generates its Ext space; the boundary
-classes cut out the subspace pairs that fail to lift along the degeneration.
+0 -> x1 -> Y1 -> s1 -> 0, and common splits as X' + S', S' the least
+Ext-closed side, so that 0 -> x1 + X' -> m -> s1 + S' -> 0 generates its Ext
+space; the boundary classes cut out the subspace pairs that fail to lift.
 
-bongartz_data computes the middle term and the boundary classes by interval
-arithmetic (the endpoint swap and the overlap of two intervals);
+bongartz_data computes the middle term, the split and the boundary classes
+from intervals (the endpoint swap, an Ext closure and an overlap);
 boundary_check recomputes the boundary classes from explicit homomorphisms
 between whole classes, so every cover is checked by both routes.
 """
@@ -179,30 +179,20 @@ def _split_common(q: TypeAQuiver, common: RepClass, x1: Interval, s1: Interval) 
     The split must satisfy: Ext(s1, x_rest) = Ext(x1, x_rest) = 0 and
     Ext(s_rest, s1) = Ext(s_rest, x1) = Ext(s_rest, x_rest) = 0, which makes
     0 -> x1 + x_rest -> m -> s1 + s_rest -> 0 generating.  All copies of one
-    interval land on the same side (self-extensions vanish).  Deterministic:
-    the first valid assignment in bitmask order wins, starting from
-    everything on the x side.
+    interval land on the same side (self-extensions vanish).  The conditions
+    are pairwise: every u with Ext(s1, u) or Ext(x1, u) nonzero is forced to
+    the S side, Ext(u, v) != 0 carries v there with u, and no u with
+    Ext(u, s1) or Ext(u, x1) nonzero may go there.  The S side taken is the
+    least Ext-closed one, the closure of the forced intervals.
     """
     classes = common.intervals()
-    cls_x1 = RepClass(((x1, 1),))
-    cls_s1 = RepClass(((s1, 1),))
-    for mask in range(1 << len(classes)):
-        s_side = [u for i, u in enumerate(classes) if mask >> i & 1]
-        x_side = [u for i, u in enumerate(classes) if not mask >> i & 1]
-        x_rest = RepClass.from_pairs((u, common.mult(u)) for u in x_side)
-        s_rest = RepClass.from_pairs((u, common.mult(u)) for u in s_side)
-        if ext_dim(q, cls_s1, x_rest):
-            continue
-        if ext_dim(q, cls_x1, x_rest):
-            continue
-        if ext_dim(q, s_rest, cls_s1):
-            continue
-        if ext_dim(q, s_rest, cls_x1):
-            continue
-        if ext_dim(q, s_rest, x_rest):
-            continue
-        return x_rest, s_rest
-    raise InternalCheckError(f"no valid split of {common} around ({x1}, {s1})")
+    s_side = [u for u in classes if ext_intervals(q, s1, u) or ext_intervals(q, x1, u)]
+    for u in s_side:  # s_side grows while it is walked
+        if ext_intervals(q, u, s1) or ext_intervals(q, u, x1):
+            raise InternalCheckError(f"no valid split of {common} around ({x1}, {s1})")
+        s_side.extend(v for v in classes if v not in s_side and ext_intervals(q, u, v))
+    s_rest = RepClass(tuple((u, k) for u, k in common.pairs if u in s_side))
+    return common.difference(s_rest), s_rest
 
 
 def _unique_hom(q: TypeAQuiver, src: RepClass, dst: RepClass):

@@ -463,10 +463,15 @@ def betti_oracle(
     if any(x < 0 for x in e) or not vec_leq(e, d):
         return PoincarePoly.zero()
     bound = sum(x * (y - x) for x, y in zip(e, d))
-    primes = first_primes(bound + 2)
-    cost = _enum_cost(q, m, e, primes[-1])
+    # _interpolate takes points^2 (points + 1) / 2 inner steps; charged first,
+    # they refuse a large bound before any primes or enumeration cost
+    points = bound + 1
+    cost = points * points * (points + 1) // 2
+    if cost <= budget:
+        primes = first_primes(bound + 2)
+        cost += _enum_cost(q, m, e, primes[-1])
     if cost > budget:
-        raise ValueError(f"enumeration cost {cost} exceeds budget {budget}")
+        raise ValueError(f"oracle cost {cost} exceeds budget {budget}")
     values = [point_count(q, m, e, p) for p in primes]
     raw = _interpolate(list(zip(primes[: bound + 1], values[: bound + 1])))
     for c in raw:

@@ -4,7 +4,8 @@ A type A quiver is an orientation of the path graph on vertices 1..n; the
 orientation is a string of flags, one per edge, 'F' for i -> i+1 and 'B' for
 i+1 -> i.  Indecomposable representations are the interval modules M[a,b]
 (one-dimensional on vertices a..b, identity on interior edges), so an
-isomorphism class of representations is a multiset of intervals.
+isomorphism class of representations is a multiset of intervals;
+enumerate_rep_classes lists those of one dimension vector in canonical order.
 """
 
 from __future__ import annotations
@@ -178,7 +179,12 @@ def vec_boxes(d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_rep_classes(q: TypeAQuiver, d: tuple[int, ...]) -> tuple[RepClass, ...]:
-    """All multisets of intervals with total dimension vector d, canonically sorted."""
+    """All multisets of intervals with total dimension vector d, canonically sorted.
+
+    The walk takes intervals in (a, b) order and multiplicities 1..cap before
+    0, which is `pairs` order.  [a, n] is the last interval containing vertex
+    a, so its multiplicity is forced to what is left at a.
+    """
     if len(d) != q.n:
         raise ValueError("dimension vector length mismatch")
     if any(x < 0 for x in d):
@@ -187,25 +193,21 @@ def enumerate_rep_classes(q: TypeAQuiver, d: tuple[int, ...]) -> tuple[RepClass,
     found: list[RepClass] = []
 
     def walk(idx: int, remaining: tuple[int, ...], chosen: list[tuple[Interval, int]]) -> None:
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             found.append(RepClass(tuple(chosen)))
             return
-        if idx == len(intervals):
-            return
         u = intervals[idx]
-        cap = min(remaining[v - 1] for v in range(u.a, u.b + 1))
-        for k in range(cap, -1, -1):
-            if k:
-                rem = list(remaining)
-                for v in range(u.a, u.b + 1):
-                    rem[v - 1] -= k
-                chosen.append((u, k))
-                walk(idx + 1, tuple(rem), chosen)
-                chosen.pop()
-            else:
-                walk(idx + 1, remaining, chosen)
+        cap = min(remaining[u.a - 1 : u.b])
+        if u.b < q.n:
+            choices = (*range(1, cap + 1), 0)
+        else:
+            choices = (cap,) if remaining[u.a - 1] == cap else ()
+        for k in choices:
+            rem = list(remaining)
+            for v in range(u.a, u.b + 1):
+                rem[v - 1] -= k
+            walk(idx + 1, tuple(rem), chosen + [(u, k)] if k else chosen)
     walk(0, d, [])
-    found.sort(key=lambda m: m.pairs)
     return tuple(found)
 
 

@@ -8,6 +8,7 @@ import ast
 import importlib
 from pathlib import Path
 
+from quivergrass import cli
 from quivergrass.degen import DegenPoset
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -68,3 +69,21 @@ def test_names_read_by_bench_exist():
         assert hasattr(importlib.import_module(f"quivergrass.{module}"), name), (module, name)
     # build_universe.py reads poset.leq[i][j] off a DegenPoset
     assert hasattr(DegenPoset, "leq")
+
+
+def test_verify_argv_parses():
+    # the argv that bench/items.py passes to cli.main; its non-literal slots
+    # get sample values keyed by the flag before them
+    (argv,) = [
+        node.value.elts
+        for node in ast.walk(_tree(BENCH / "items.py"))
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["argv"]
+        and isinstance(node.value, ast.List)
+    ]
+    samples = {"--quiver": "A2:F", "--dim": "1,1", "--json": "out.json"}
+    values = []
+    for node in argv:
+        values.append(node.value if isinstance(node, ast.Constant) else samples[values[-1]])
+    args = cli.build_parser().parse_args(values)
+    assert (args.command, args.quiver, args.dim, args.jobs, args.json) == ("verify", "A2:F", "1,1", 1, "out.json")

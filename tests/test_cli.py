@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,10 +161,14 @@ def test_cli_usage_errors(capsys):
         ("verify", "--dim", "1,1"),
         ("frobnicate",),
         ("betti", "--quiver", "A2:F", "--rep", "[1,1]", "--sub", "1,0", "--method", "guess"),
+        ("pbw", "--n", "3", "--i", "a"),
+        ("pbw", "--n", "3", "--i", "1,,2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "usage", argv
+    code, _, err = run_cli(capsys, "pbw", "--n", "3", "--i", "1,x")
+    assert "'x'" in json.loads(err)["error"]["message"]
 
 
 def test_cli_betti_too_many_copies_is_a_value_error(capsys):
@@ -171,6 +178,121 @@ def test_cli_betti_too_many_copies_is_a_value_error(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "value" and "500 summand copies" in error["message"]
+
+
+@pytest.mark.parametrize("rep, sub", [("[1,1]x40", "20"), ("[1,1]x1000", "1")])
+def test_cli_betti_oracle_budget_charges_interpolation(capsys, rep, sub):
+    # one-vertex runs enumerate nothing, so only the interpolation through
+    # bound + 1 points (401 and 1000 here) can exceed the budget
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "betti", "--quiver", "A1", "--rep", rep, "--sub", sub, "--method", "count")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "value" and "exceeds budget" in error["message"]
+
+
+# one valid small template per subcommand: (flag, kind, value) after the name
+TEMPLATES = {
+    "poset": [("--quiver", "quiver", "A3:FB"), ("--dim", "vec", "1,1,1")],
+    "betti": [("--quiver", "quiver", "A2:F"), ("--rep", "rep", "[1,2]x2,[1,1]"), ("--sub", "vec", "1,1")],
+    "strata": [
+        ("--quiver", "quiver", "A2:F"),
+        ("--m", "rep", "[1,2]"),
+        ("--n", "rep", "[1,1],[2,2]"),
+        ("--sub", "vec", "1,0"),
+    ],
+    "verify": [("--quiver", "quiver", "A2:F"), ("--dim", "vec", "1,1"), ("--jobs", "int", "1")],
+    "pbw": [("--n", "int", "3"), ("--i", "ints", "1,2")],
+}
+NOT_IN_ANY_GRAMMAR = "#@!%?;&q"
+
+
+@st.composite
+def _bad_char(draw, value, n):
+    pos = draw(st.integers(0, len(value)))
+    return value[:pos] + draw(st.sampled_from(NOT_IN_ANY_GRAMMAR)) + value[pos:]
+
+
+@st.composite
+def _wrong_count(draw, value, n):
+    parts = value.split(",")
+    if draw(st.booleans()):
+        return ",".join(parts + ["1"])
+    return ",".join(parts[:-1]) if len(parts) > 1 else ""
+
+
+@st.composite
+def _wrong_flag_count(draw, value, n):
+    return value + "F" if draw(st.booleans()) else value[:-1]
+
+
+@st.composite
+def _bad_interval(draw, value, n):
+    a, b = draw(
+        st.one_of(
+            st.tuples(st.just(0), st.integers(0, n)),
+            st.tuples(st.integers(1, n), st.integers(n + 1, n + 3)),
+            st.integers(2, n).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
+        )
+    )
+    return f"[{a},{b}]," + value
+
+
+@st.composite
+def _zero_multiplicity(draw, value, n):
+    a = draw(st.integers(1, n))
+    return value + f",[{a},{a}]x0"
+
+
+@st.composite
+def _negative_entry(draw, value, n):
+    parts = value.split(",")
+    parts[draw(st.integers(0, len(parts) - 1))] = str(-draw(st.integers(1, 3)))
+    return ",".join(parts)
+
+
+@st.composite
+def _non_integer_entry(draw, value, n):
+    parts = value.split(",")
+    parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(["", "a", "1.5", "x1"])))
+    return ",".join(parts)
+
+
+@st.composite
+def _bad_tuple(draw, value, n):
+    return draw(st.sampled_from([f"1,{n}", "0,1", "2,1", "1,1", "1,2,3"]))
+
+
+DEFECTS = {
+    "quiver": (_bad_char, _wrong_flag_count),
+    "rep": (_bad_char, _bad_interval, _zero_multiplicity),
+    "vec": (_bad_char, _wrong_count, _negative_entry),
+    "int": (_bad_char, _negative_entry),
+    "ints": (_bad_char, _negative_entry, _non_integer_entry, _bad_tuple),
+}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cli_fuzz_malformed_input(data):
+    # every example injects exactly one defect into a valid small template,
+    # so no example is a valid (possibly large) input
+    command = data.draw(st.sampled_from(sorted(TEMPLATES)))
+    fields = TEMPLATES[command]
+    target = data.draw(st.integers(0, len(fields) - 1))
+    _, kind, value = fields[target]
+    defect = data.draw(st.sampled_from(DEFECTS[kind]))
+    n = 3 if command == "pbw" else parse_quiver(fields[0][2]).n
+    bad = data.draw(defect(value, n))
+    argv = [command] + [f"{f}={bad if i == target else v}" for i, (f, _, v) in enumerate(fields)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert json.loads(err.getvalue())["error"]["type"] in ("usage", "value"), argv
 
 
 def test_cli_pbw_internal_check(monkeypatch, capsys):

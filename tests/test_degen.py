@@ -218,6 +218,50 @@ def test_bongartz_split_with_repeated_simple_classes():
     assert boundary_check(bd)
 
 
+def reference_split_common(q, common, x1, s1):
+    """The first valid split in bitmask order, starting from everything on
+    the x side, checked with class-level Ext, as a reference."""
+    classes = common.intervals()
+    cls_x1 = RepClass(((x1, 1),))
+    cls_s1 = RepClass(((s1, 1),))
+    for mask in range(1 << len(classes)):
+        s_side = [u for i, u in enumerate(classes) if mask >> i & 1]
+        x_side = [u for i, u in enumerate(classes) if not mask >> i & 1]
+        x_rest = RepClass.from_pairs((u, common.mult(u)) for u in x_side)
+        s_rest = RepClass.from_pairs((u, common.mult(u)) for u in s_side)
+        if ext_dim(q, cls_s1, x_rest):
+            continue
+        if ext_dim(q, cls_x1, x_rest):
+            continue
+        if ext_dim(q, s_rest, cls_s1):
+            continue
+        if ext_dim(q, s_rest, cls_x1):
+            continue
+        if ext_dim(q, s_rest, x_rest):
+            continue
+        return x_rest, s_rest
+    raise InternalCheckError(f"no valid split of {common} around ({x1}, {s1})")
+
+
+def test_split_matches_reference_search():
+    splits = 0
+    for q in all_quivers(4):
+        for d in vec_boxes(tuple([2] * q.n)):
+            for m, n in degeneration_poset(q, d).covers:
+                bd = bongartz_data(q, m, n)
+                assert (bd.x_rest, bd.s_rest) == reference_split_common(q, bd.common, bd.x1, bd.s1)
+                splits += 1
+    assert splits == 4466
+
+
+def test_split_without_valid_side_raises(monkeypatch):
+    # with every Ext nonzero, [3,3] is forced onto the S side and is also
+    # forbidden there
+    monkeypatch.setattr(degen, "ext_intervals", lambda q, u, v: 1)
+    with pytest.raises(InternalCheckError, match="no valid split"):
+        degen._split_common(A3, cls((3, 3)), Interval(2, 2), Interval(1, 1))
+
+
 def test_bongartz_reconstruction_and_conditions_sweep():
     for q in all_quivers(3):
         for d in vec_boxes(tuple([2] * q.n)):
@@ -246,4 +290,5 @@ def test_bongartz_data_passes_boundary_check_a4_a5(data):
     m, n = data.draw(st.sampled_from(covers))
     bd = bongartz_data(q, m, n)
     assert bd.middle.union(bd.common) == m
+    assert (bd.x_rest, bd.s_rest) == reference_split_common(q, bd.common, bd.x1, bd.s1)
     assert boundary_check(bd)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from quivergrass.quiver import (
     intervals_of,
     projective_intervals,
     semisimple_class,
+    vec_boxes,
     vec_leq,
     vec_sub,
 )
@@ -111,6 +114,51 @@ def test_enumerate_matches_brute_force(q, d):
 def test_enumerate_is_sorted_canonically():
     got = enumerate_rep_classes(A3, (1, 1, 1))
     assert list(got) == sorted(got, key=lambda m: m.pairs)
+
+
+def reference_enumerate_rep_classes(q, d):
+    """The walk that tries every multiplicity down to 0 at every interval,
+    then sorts, as a reference."""
+    intervals = intervals_of(q)
+    found = []
+
+    def walk(idx, remaining, chosen):
+        if all(x == 0 for x in remaining):
+            found.append(RepClass(tuple(chosen)))
+            return
+        if idx == len(intervals):
+            return
+        u = intervals[idx]
+        cap = min(remaining[v - 1] for v in range(u.a, u.b + 1))
+        for k in range(cap, -1, -1):
+            if k:
+                rem = list(remaining)
+                for v in range(u.a, u.b + 1):
+                    rem[v - 1] -= k
+                chosen.append((u, k))
+                walk(idx + 1, tuple(rem), chosen)
+                chosen.pop()
+            else:
+                walk(idx + 1, remaining, chosen)
+
+    walk(0, d, [])
+    found.sort(key=lambda m: m.pairs)
+    return tuple(found)
+
+
+def test_enumerate_matches_reference_walk():
+    cases = 0
+    for n, top in ((1, 3), (2, 3), (3, 3), (4, 2)):
+        for flags in itertools.product("FB", repeat=n - 1):
+            q = TypeAQuiver(n, "".join(flags))
+            for d in vec_boxes((top,) * n):
+                assert enumerate_rep_classes(q, d) == reference_enumerate_rep_classes(q, d), (q.label(), d)
+                cases += 1
+    assert cases == 940
+
+
+def test_enumerate_pinned_size():
+    assert len(enumerate_rep_classes(TypeAQuiver(5, "FFFF"), (6,) * 5)) == 27027
 
 
 def test_explicit_of_examples():
