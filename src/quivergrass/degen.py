@@ -104,9 +104,9 @@ def _bits(mask: int) -> list[int]:
 def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
     """All classes of dimension d ordered by degeneration, with cover edges.
 
-    For each interval coordinate u, ge[u][t] is the set of nodes whose Hom
-    count at u is at least t; the up-set of node i is the intersection over
-    u of ge[u][hv_i[u]].  The covers of i are its strict up-set minus
+    For each interval coordinate u and each Hom count t met there, ge[u][t]
+    is the set of nodes whose Hom count at u is at least t; the up-set of
+    node i is the intersection over u of ge[u][hv_i[u]].  The covers of i are its strict up-set minus
     everything strictly above one of its members.
     """
     nodes = enumerate_rep_classes(q, d)
@@ -117,11 +117,13 @@ def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
     full = (1 << size) - 1
     up = [full] * size
     for column in zip(*vectors):
-        ge = [0] * (max(column) + 2)
+        ge = dict.fromkeys(sorted(set(column), reverse=True), 0)
         for j, t in enumerate(column):
             ge[t] |= 1 << j
-        for t in range(len(ge) - 2, -1, -1):
-            ge[t] |= ge[t + 1]
+        above = 0
+        for t in ge:
+            above |= ge[t]
+            ge[t] = above
         for i, t in enumerate(column):
             up[i] &= ge[t]
     strict = [row & ~(1 << i) for i, row in enumerate(up)]

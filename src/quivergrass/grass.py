@@ -6,7 +6,9 @@ over pairs (A, B) of subrepresentations of the two factors, with affine
 fibers of dimension <dim B, dim rest - dim A>.  S is an interval module, so
 each B is a point fixed by its dimension vector g, and
 P(m, e) = sum over g of q^<g, dim rest - (e - g)> P(rest, e - g).  The
-recursion is memoised per (class, e, peel order), and the zero class is its
+peeled S is the least summand interval with no extension into the others
+(peel_summand), or the largest when the reverse direction is asked for.  The
+recursion is memoised per (class, e, direction), and the zero class is its
 only base case (a point at e = 0, empty elsewhere).  Route two is an oracle:
 count subrepresentations over several prime fields, then interpolate the
 counting polynomial (Grassmannians here are paved by affine cells, so the
@@ -165,36 +167,25 @@ def gr_interval(q: TypeAQuiver, u: Interval, e: tuple[int, ...]) -> PoincarePoly
 
 
 @cache
-def peel_order(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> tuple[Interval, ...]:
-    """Summand copies ordered so earlier ones have no extensions into later ones.
+def peel_summand(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> Interval:
+    """The least summand interval with no Ext^1 into any other summand interval.
 
-    Topological sort of the summand intervals under the precedence
-    "B before A whenever Ext^1(A, B) != 0", lexicographic tie-break (largest
-    first when reverse is set); copies of one interval stay adjacent.
+    The largest such interval when reverse is set.  Type A has no extension
+    cycles, so one always exists for a nonzero class.
     """
-    classes = sorted(m.intervals())
-    preds: dict[Interval, set[Interval]] = {u: set() for u in classes}
-    for a in classes:
-        for b in classes:
-            if a != b and ext_intervals(q, a, b):
-                preds[a].add(b)
-    order: list[Interval] = []
-    placed: set[Interval] = set()
-    while len(placed) < len(classes):
-        ready = [u for u in classes if u not in placed and preds[u] <= placed]
-        if not ready:
-            raise InternalCheckError(f"extension cycle among summands of {m}")
-        pick = max(ready) if reverse else min(ready)
-        placed.add(pick)
-        order.extend([pick] * m.mult(pick))
-    return tuple(order)
+    intervals = m.intervals()
+    for u in reversed(intervals) if reverse else intervals:
+        if not any(v != u and ext_intervals(q, u, v) for v in intervals):
+            return u
+    raise InternalCheckError(f"extension cycle among summands of {m}")
 
 
 def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_peel: bool = False) -> PoincarePoly:
     """Poincare polynomial of the quiver Grassmannian of m at e, by peeling.
 
-    Zero when some entry of e is negative or exceeds dim m; reverse_peel
-    peels in the other tie-break order, which must give the same answer.
+    Each step peels peel_summand(q, m): the least summand with no extension
+    into the others, or the largest with reverse_peel, which must give the
+    same answer.  Zero when some entry of e is negative or exceeds dim m.
     The peel nests one call per summand copy, so a class with more copies
     than the interpreter's recursion limit allows is a ValueError.
     """
@@ -204,7 +195,7 @@ def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_
         return _betti(q, m, e, reverse_peel)
     except RecursionError:
         raise ValueError(
-            f"{len(m.copies())} summand copies nest the peeling recursion too deep"
+            f"{sum(k for _, k in m.pairs)} summand copies nest the peeling recursion too deep"
         ) from None
 
 
@@ -218,7 +209,7 @@ def _sub_vectors(q: TypeAQuiver, u: Interval) -> tuple[tuple[int, ...], ...]:
 def _betti(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], reverse: bool) -> PoincarePoly:
     if not m.pairs:
         return PoincarePoly.zero() if any(e) else PoincarePoly.one()
-    quot = peel_order(q, m, reverse)[0]
+    quot = peel_summand(q, m, reverse)
     rest = m.remove_one(quot)
     d_rest = rest.dim(q.n)
     result = PoincarePoly.zero()
@@ -318,16 +309,16 @@ def _rank_mod(vectors, p: int) -> int:
     return rank
 
 
-def _segments(q: TypeAQuiver, mats, d, e) -> list[list[int]]:
-    """Split vertices 1..n into runs linked by edges whose condition bites."""
-    active = []
-    for k in range(q.n - 1):
-        s, t = q.edge(k)
-        nonzero = any(any(row) for row in mats[k])
-        active.append(nonzero and e[s - 1] > 0 and e[t - 1] < d[t - 1])
+def _segments(q: TypeAQuiver, m: RepClass, d, e) -> list[list[int]]:
+    """Split vertices 1..n into runs linked by arrows whose condition bites.
+
+    An arrow bites when some summand interval spans it (its matrix is then
+    nonzero), e is nonzero at its source and e falls short of d at its target.
+    """
     segments = [[1]]
     for v in range(2, q.n + 1):
-        if active[v - 2]:
+        s, t = q.edge(v - 2)
+        if e[s - 1] > 0 and e[t - 1] < d[t - 1] and any(u.a < v <= u.b for u in m.intervals()):
             segments[-1].append(v)
         else:
             segments.append([v])
@@ -361,7 +352,7 @@ def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
         return gaussian_binomial(d[v - 1], e[v - 1]).eval_at(p)
 
     total = 1
-    for segment in _segments(q, mats, d, e):
+    for segment in _segments(q, m, d, e):
         if len(segment) == 1:
             total *= size(segment[0])
             continue
@@ -413,10 +404,8 @@ def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
 
 def _enum_cost(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
     d = m.dim(q.n)
-    rep = explicit_of(q, m)
-    mats = [_mat_mod(mat, p) for mat in rep.mats]
     cost = 0
-    for segment in _segments(q, mats, d, e):
+    for segment in _segments(q, m, d, e):
         if len(segment) == 1:
             continue
         sizes = [gaussian_binomial(d[v - 1], e[v - 1]).eval_at(p) for v in segment]
@@ -463,10 +452,12 @@ def betti_oracle(
     if any(x < 0 for x in e) or not vec_leq(e, d):
         return PoincarePoly.zero()
     bound = sum(x * (y - x) for x, y in zip(e, d))
-    # _interpolate takes points^2 (points + 1) / 2 inner steps; charged first,
-    # they refuse a large bound before any primes or enumeration cost
+    # _interpolate takes points^2 (points + 1) / 2 inner steps and explicit_of
+    # fills sum_v d_v basis slots and d_s d_t entries per arrow; charged first,
+    # they refuse a large bound or class before any primes or enumeration cost
     points = bound + 1
-    cost = points * points * (points + 1) // 2
+    cost = points * points * (points + 1) // 2 + sum(d)
+    cost += sum(d[s - 1] * d[t - 1] for s, t in map(q.edge, range(q.n - 1)))
     if cost <= budget:
         primes = first_primes(bound + 2)
         cost += _enum_cost(q, m, e, primes[-1])

@@ -10,6 +10,7 @@ poset, so every P(m, e) is dominated by a product of Gaussian binomials.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -149,10 +150,10 @@ def verify_theorem(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     poset = degeneration_poset(q, d)
-    es = vec_boxes(d)
-    work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * len(es)
+    work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * math.prod(x + 1 for x in d)
     if work > budget:
         raise ValueError(f"estimated sweep size {work} exceeds budget {budget}")
+    es = vec_boxes(d)
     failures: list[str] = []
     kernels: list[tuple[RepClass, RepClass, tuple[int, ...], PoincarePoly]] = []
     tasks = [(q, m, n, es) for (m, n) in poset.covers]

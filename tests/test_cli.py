@@ -171,21 +171,60 @@ def test_cli_usage_errors(capsys):
     assert "'x'" in json.loads(err)["error"]["message"]
 
 
-def test_cli_betti_too_many_copies_is_a_value_error(capsys):
-    code, out, err = run_cli(
-        capsys, "betti", "--quiver", "A1", "--rep", "[1,1]x500", "--sub", "1", "--method", "recursion"
-    )
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "quiver, rep, sub, method, copies",
+    [
+        ("A1", "[1,1]x500", "1", "recursion", "500"),
+        ("A2:F", f"[1,2]x{HUGE}", "1,1", "recursion", HUGE),
+        ("A2:F", f"[1,2]x{HUGE}", "1,1", "both", HUGE),
+    ],
+    ids=["A1-500-recursion", "A2:F-huge-recursion", "A2:F-huge-both"],
+)
+def test_cli_betti_too_many_copies_is_a_value_error(capsys, quiver, rep, sub, method, copies):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "betti", "--quiver", quiver, "--rep", rep, "--sub", sub, "--method", method)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "value" and "500 summand copies" in error["message"]
+    assert error["type"] == "value" and f"{copies} summand copies" in error["message"]
 
 
-@pytest.mark.parametrize("rep, sub", [("[1,1]x40", "20"), ("[1,1]x1000", "1")])
-def test_cli_betti_oracle_budget_charges_interpolation(capsys, rep, sub):
+@pytest.mark.parametrize(
+    "quiver, rep, sub",
+    [
+        ("A1", "[1,1]x40", "20"),
+        ("A1", "[1,1]x1000", "1"),
+        ("A2:F", f"[1,2]x{HUGE}", "0,0"),
+        ("A1", f"[1,1]x{HUGE}", "0"),
+    ],
+    ids=["[1,1]x40-20", "[1,1]x1000-1", "A2:F-huge-0,0", "A1-huge-0"],
+)
+def test_cli_betti_oracle_budget_charges_interpolation(capsys, quiver, rep, sub):
     # one-vertex runs enumerate nothing, so only the interpolation through
-    # bound + 1 points (401 and 1000 here) can exceed the budget
+    # bound + 1 points (401 and 1000 in the first two) or the explicit
+    # representation of a huge class (bound 0 in the last two) can exceed
+    # the budget
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "betti", "--quiver", "A1", "--rep", rep, "--sub", sub, "--method", "count")
+    code, out, err = run_cli(capsys, "betti", "--quiver", quiver, "--rep", rep, "--sub", sub, "--method", "count")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "value" and "exceeds budget" in error["message"]
+
+
+def test_cli_poset_huge_dimension_is_one_node(capsys):
+    code, out, err = run_cli(capsys, "poset", "--quiver", "A1", "--dim", HUGE)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["nodes"] == [f"[1,1]x{HUGE}"] and payload["covers"] == []
+
+
+def test_cli_verify_huge_dimension_is_refused_first(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--quiver", "A1", "--dim", HUGE, "--jobs", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     error = json.loads(err)["error"]

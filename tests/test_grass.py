@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergrass import grass
+from quivergrass.cli import parse_quiver, parse_rep
 from quivergrass.degen import bongartz_data, degeneration_poset
 from quivergrass.grass import (
     PoincarePoly,
@@ -12,17 +13,19 @@ from quivergrass.grass import (
     first_primes,
     gaussian_binomial,
     gr_interval,
-    peel_order,
+    peel_summand,
     point_count,
     strata_sum,
     strata_table,
 )
 from quivergrass.homalg import euler_form, ext_intervals
 from quivergrass.quiver import (
+    InternalCheckError,
     Interval,
     RepClass,
     TypeAQuiver,
     enumerate_rep_classes,
+    explicit_of,
     intervals_of,
     semisimple_class,
     vec_boxes,
@@ -82,11 +85,66 @@ def test_gr_interval_examples():
     assert gr_interval(b2, Interval(1, 2), (0, 1)) == PoincarePoly.zero()
 
 
+def reference_peel_order(q, m, reverse=False):
+    """Summand copies ordered so earlier ones have no extensions into later
+    ones: a topological sort of the summand intervals under "B before A
+    whenever Ext^1(A, B) != 0", least first (largest when reverse is set),
+    copies of one interval adjacent."""
+    classes = sorted(m.intervals())
+    preds = {u: set() for u in classes}
+    for a in classes:
+        for b in classes:
+            if a != b and ext_intervals(q, a, b):
+                preds[a].add(b)
+    order = []
+    placed = set()
+    while len(placed) < len(classes):
+        ready = [u for u in classes if u not in placed and preds[u] <= placed]
+        if not ready:
+            raise InternalCheckError(f"extension cycle among summands of {m}")
+        pick = max(ready) if reverse else min(ready)
+        placed.add(pick)
+        order.extend([pick] * m.mult(pick))
+    return tuple(order)
+
+
+def peel_path(q, m, reverse=False):
+    """The successive peel_summand picks until the class is empty."""
+    path = []
+    while m.pairs:
+        u = peel_summand(q, m, reverse)
+        path.append(u)
+        m = m.remove_one(u)
+    return tuple(path)
+
+
 def test_peel_order_examples():
     single = cls((1, 2))
-    assert peel_order(A2, single) == (Interval(1, 2),)
-    assert peel_order(A2, cls((1, 1), (2, 2))) == (Interval(2, 2), Interval(1, 1))
-    assert peel_order(A3, cls((1, 2), (3, 3))) == (Interval(3, 3), Interval(1, 2))
+    assert peel_path(A2, single) == (Interval(1, 2),)
+    assert peel_path(A2, cls((1, 1), (2, 2))) == (Interval(2, 2), Interval(1, 1))
+    assert peel_path(A3, cls((1, 2), (3, 3))) == (Interval(3, 3), Interval(1, 2))
+    assert peel_summand(A2, cls((1, 1), (2, 2)), reverse=True) == Interval(2, 2)
+    assert peel_summand(A3, cls((1, 1), (3, 3)), reverse=True) == Interval(3, 3)
+
+
+def test_peel_summand_matches_reference_sort():
+    checked = 0
+    for q in all_quivers(4):
+        for d in vec_boxes(tuple([2] * q.n)):
+            for m in enumerate_rep_classes(q, d):
+                if not m.pairs:
+                    continue
+                for reverse in (False, True):
+                    expected = reference_peel_order(q, m, reverse)[0]
+                    assert peel_summand(q, m, reverse) == expected, (q.label(), m.text(), reverse)
+                    checked += 1
+    assert checked == 7104
+
+
+def test_peel_summand_without_candidate_raises(monkeypatch):
+    monkeypatch.setattr(grass, "ext_intervals", lambda q, u, v: 1)
+    with pytest.raises(InternalCheckError, match="extension cycle"):
+        peel_summand.__wrapped__(A2, cls((1, 1), (2, 2)))
 
 
 @given(st.sampled_from(list(all_quivers(4))), st.data())
@@ -95,10 +153,10 @@ def test_peel_order_is_valid(q, data):
     intervals = list(intervals_of(q))
     copies = data.draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=5))
     m = RepClass.from_copies(copies)
-    order = peel_order(q, m)
-    assert sorted(order) == sorted(m.copies())
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
+    path = peel_path(q, m)
+    assert sorted(path) == sorted(m.copies())
+    for i, u in enumerate(path):
+        for v in path[i + 1 :]:
             if u != v:
                 assert ext_intervals(q, u, v) == 0
 
@@ -130,7 +188,7 @@ def reference_betti(q, m, e, reverse=False):
     elif len(m.copies()) == 1:
         result = gr_interval(q, m.pairs[0][0], e)
     else:
-        quot = peel_order(q, m, reverse)[0]
+        quot = reference_peel_order(q, m, reverse)[0]
         rest = m.remove_one(quot)
         d_rest = rest.dim(q.n)
         ind = quot.indicator(q.n)
@@ -241,6 +299,55 @@ def test_point_count_brute_force_cross_check():
     ]
     for q, m, e, p in cases:
         assert point_count(q, m, e, p) == brute(q, m, e, p), (q.label(), m.text(), e, p)
+
+
+def reference_segments(q, m, d, e, p):
+    """Runs of vertices linked by arrows whose matrix mod p is nonzero, with
+    e nonzero at the source and short of d at the target."""
+    mats = [grass._mat_mod(mat, p) for mat in explicit_of(q, m).mats]
+    active = []
+    for k in range(q.n - 1):
+        s, t = q.edge(k)
+        nonzero = any(any(row) for row in mats[k])
+        active.append(nonzero and e[s - 1] > 0 and e[t - 1] < d[t - 1])
+    segments = [[1]]
+    for v in range(2, q.n + 1):
+        if active[v - 2]:
+            segments[-1].append(v)
+        else:
+            segments.append([v])
+    return segments
+
+
+def test_segments_match_matrix_rule():
+    checked = 0
+    for q in all_quivers(4):
+        for d in vec_boxes(tuple([2 if q.n < 4 else 1] * q.n)):
+            for m in enumerate_rep_classes(q, d):
+                for e in vec_boxes(d):
+                    for p in (2, 3):
+                        assert grass._segments(q, m, d, e) == reference_segments(q, m, d, e, p), (
+                            q.label(), m.text(), e, p
+                        )
+                        checked += 1
+    assert checked == 12124
+
+
+@pytest.mark.parametrize(
+    "label, rep, e, p, cost",
+    [
+        ("A2:F", "[1,2]x3", (1, 2), 7, 3363),
+        ("A3:FF", "[1,3]x2,[2,2],[1,2]", (1, 2, 1), 2, 395),
+        ("A4:FFB", "[1,1],[1,2],[2,2]x3", (1, 1, 0, 0), 5, 1098),
+        ("A4:FBF", "[1,4]x2,[2,3]", (1, 1, 1, 1), 11, 21171),
+        ("A3:BF", "[1,1]x2,[2,2]x2,[3,3]", (1, 1, 1), 13, 0),
+        ("A5:FFBF", "[1,2],[2,4]x2,[4,5],[3,3]", (1, 1, 1, 1, 1), 7, 6727),
+    ],
+)
+def test_enum_cost_pinned(label, rep, e, p, cost):
+    # bench/build_universe.py selects and refuses oracle items by these values
+    q = parse_quiver(label)
+    assert grass._enum_cost(q, parse_rep(rep, q), e, p) == cost
 
 
 def test_point_count_never_enumerates_the_last_vertex(monkeypatch):
