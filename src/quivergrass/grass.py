@@ -22,7 +22,11 @@ one rank over F_p.
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
 induced extension class vanishes (i = 0) or not (i = 1) partitions the
-Grassmannian of n, the i = 0 part alone accounting for m.
+Grassmannian of n, the i = 0 part alone accounting for m.  Only the splits
+f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
+support pairs are computed; every other split is a zero record.  The i = 1
+sum alone (strata_kernel) comes from the same support terms without
+building records.
 """
 
 from __future__ import annotations
@@ -489,28 +493,30 @@ class StratumRecord:
     base_poly: PoincarePoly
 
 
-def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
-    """Stratum records of the degeneration bd at subdimension e.
+def _strata_terms(bd: BongartzData, e: tuple[int, ...]):
+    """Terms (f, g, base0, shift0, base1, shift1) of the support pairs f + g = e.
 
-    For every split f + g = e: the i = 1 stratum sits over
-    Gr_f(x_ker) x Gr_{g - dim s_im}(s_quot) with an affine shift one higher
-    than the Euler pairing; the i = 0 stratum covers the complement in
-    Gr_f(X) x Gr_g(S).  Zero strata are emitted with shift normalized to 0.
+    The support is max(0, e - dim S) <= f <= min(e, dim X), in lexicographic
+    f order.  Outside it P(X, f) P(S, g) is 0, and so is the i = 1 base:
+    x_ker is a subrepresentation of X and s_im + s_quot has the dimension of
+    S.  Inside it the i = 1 base is asked of the recursion only where f fits
+    x_ker and g fits s_quot over s_im.  The caller runs boundary_check.
     """
     q = bd.quiver
-    boundary_check(bd)
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
     x_class, s_class = bd.x_class, bd.s_class
-    dim_x = x_class.dim(q.n)
+    dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
+    dim_ker = bd.x_ker.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
-    records = []
-    for f in itertools.product(*(range(x + 1) for x in e)):
+    box = (range(max(0, a - s), min(a, x) + 1) for a, x, s in zip(e, dim_x, dim_s))
+    for f in itertools.product(*box):
         g = vec_sub(e, f)
         g_red = tuple(x - y for x, y in zip(g, s_vec))
-        base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
-        product = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g)
-        base0 = product - base1
+        base1 = PoincarePoly.zero()
+        if vec_leq(f, dim_ker) and all(x >= 0 for x in g_red):
+            base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
+        base0 = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g) - base1
         if not base0.is_nonneg():
             raise InternalCheckError(
                 f"stratum complement has a negative count at f={f}, g={g}: {base0}"
@@ -524,9 +530,47 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
                 shift1 = pairing + 1
             if shift0 < 0 or shift1 < 0:
                 raise InternalCheckError(f"negative affine shift at f={f}, g={g}")
-        records.append(StratumRecord(f, g, 0, shift0, base0))
-        records.append(StratumRecord(f, g, 1, shift1, base1))
+        yield f, g, base0, shift0, base1, shift1
+
+
+def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
+    """Stratum records of the degeneration bd at subdimension e.
+
+    For every split f + g = e: the i = 1 stratum sits over
+    Gr_f(x_ker) x Gr_{g - dim s_im}(s_quot) with an affine shift one higher
+    than the Euler pairing; the i = 0 stratum covers the complement in
+    Gr_f(X) x Gr_g(S).  Only the support pairs (_strata_terms) are computed;
+    every other split gets two zero records.  Zero strata are emitted with
+    shift normalized to 0.
+    """
+    boundary_check(bd)
+    terms = {term[0]: term for term in _strata_terms(bd, e)}
+    zero = PoincarePoly.zero()
+    records = []
+    for f in itertools.product(*(range(x + 1) for x in e)):
+        if f in terms:
+            _, g, base0, shift0, base1, shift1 = terms[f]
+            records.append(StratumRecord(f, g, 0, shift0, base0))
+            records.append(StratumRecord(f, g, 1, shift1, base1))
+        else:
+            g = vec_sub(e, f)
+            records.append(StratumRecord(f, g, 0, 0, zero))
+            records.append(StratumRecord(f, g, 1, 0, zero))
     return tuple(records)
+
+
+def strata_kernel(bd: BongartzData, e: tuple[int, ...]) -> PoincarePoly:
+    """The i = 1 part of the strata table of bd at e, summed without records.
+
+    Equal to strata_sum(strata_table(bd, e), 1): the i = 1 records outside
+    the support are zero.
+    """
+    boundary_check(bd)
+    total = PoincarePoly.zero()
+    for _, _, _, _, base1, shift1 in _strata_terms(bd, e):
+        if base1:
+            total = total + base1.shift(shift1)
+    return total
 
 
 def strata_sum(records: tuple[StratumRecord, ...], which: int | None = None) -> PoincarePoly:

@@ -260,29 +260,40 @@ def tau_class(q: TypeAQuiver, m: RepClass, direction: str = "forward") -> RepCla
     return RepClass.from_pairs(pairs)
 
 
+@cache
+def _hom_table_inverse(q: TypeAQuiver) -> tuple[tuple[int, ...], ...]:
+    """The inverse of hom_table(q), solved exactly once per quiver.
+
+    The table is unimodular, so the inverse is integral; anything else is
+    an InternalCheckError.
+    """
+    size = len(intervals_of(q))
+    try:
+        inverse = solve(Mat.from_rows(hom_table(q), ncols=size), Mat.identity(size))
+    except ValueError as exc:  # includes InconsistentSystemError
+        raise InternalCheckError(f"Hom table of {q.label()} is singular: {exc}") from exc
+    if any(x.denominator != 1 for row in inverse.rows for x in row):
+        raise InternalCheckError(f"Hom table of {q.label()} is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in inverse.rows)
+
+
 def iso_identify(f: ExplicitRep) -> RepClass:
     """The multiset of intervals with the same Hom counts as f.
 
-    Solves the interval-indexed linear system [U, m] = [U, f] for the
-    multiplicities; a finite-type class is determined by these counts.
+    The multiplicities solve the interval-indexed system [U, m] = [U, f],
+    read off as the inverse Hom table times the counts; a finite-type class
+    is determined by these counts.
     """
     q = f.quiver
     intervals = intervals_of(q)
-    table = hom_table(q)
     counts = [hom_dim(explicit_of(q, RepClass(((u, 1),))), f) for u in intervals]
-    a = Mat.from_rows(table, ncols=len(intervals))
-    b = Mat.from_rows([[c] for c in counts], ncols=1)
-    try:
-        x = solve(a, b)
-    except ValueError as exc:  # includes InconsistentSystemError
-        raise ValueError(f"Hom counts do not match any class: {exc}") from exc
     pairs = []
-    for i, u in enumerate(intervals):
-        value = x.rows[i][0]
-        if value.denominator != 1 or value < 0:
+    for u, row in zip(intervals, _hom_table_inverse(q)):
+        value = sum(a * c for a, c in zip(row, counts))
+        if value < 0:
             raise ValueError(f"multiplicity of {u} solves to {value}; input is not a valid representation")
         if value:
-            pairs.append((u, int(value)))
+            pairs.append((u, value))
     return RepClass(tuple(pairs))
 
 

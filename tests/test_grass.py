@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivergrass import grass
 from quivergrass.cli import parse_quiver, parse_rep
-from quivergrass.degen import bongartz_data, degeneration_poset
+from quivergrass.degen import bongartz_data, boundary_check, degeneration_poset
 from quivergrass.grass import (
     PoincarePoly,
     betti_oracle,
@@ -14,7 +15,9 @@ from quivergrass.grass import (
     gaussian_binomial,
     gr_interval,
     peel_summand,
+    StratumRecord,
     point_count,
+    strata_kernel,
     strata_sum,
     strata_table,
 )
@@ -476,6 +479,81 @@ def test_strata_zero_records_have_zero_shift():
     for rec in strata_table(bd, (1, 1)):
         if not rec.base_poly:
             assert rec.shift == 0
+
+
+def reference_strata_table(bd, e):
+    """Every split f + g = e computed in full, with no support restriction."""
+    q = bd.quiver
+    boundary_check(bd)
+    x_class, s_class = bd.x_class, bd.s_class
+    dim_x = x_class.dim(q.n)
+    s_vec = bd.s_im.dim(q.n)
+    records = []
+    for f in itertools.product(*(range(x + 1) for x in e)):
+        g = vec_sub(e, f)
+        g_red = tuple(x - y for x, y in zip(g, s_vec))
+        base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
+        product = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g)
+        base0 = product - base1
+        if not base0.is_nonneg():
+            raise InternalCheckError(f"stratum complement has a negative count at f={f}, g={g}: {base0}")
+        shift0 = shift1 = 0
+        if base0 or base1:
+            pairing = euler_form(q, g, vec_sub(dim_x, f))
+            if base0:
+                shift0 = pairing
+            if base1:
+                shift1 = pairing + 1
+            if shift0 < 0 or shift1 < 0:
+                raise InternalCheckError(f"negative affine shift at f={f}, g={g}")
+        records.append(StratumRecord(f, g, 0, shift0, base0))
+        records.append(StratumRecord(f, g, 1, shift1, base1))
+    return tuple(records)
+
+
+def test_strata_table_matches_reference_over_a1_a3():
+    tables = 0
+    for q in all_quivers(3):
+        for d in vec_boxes(tuple([2] * q.n)):
+            for m, n in degeneration_poset(q, d).covers:
+                bd = bongartz_data(q, m, n)
+                for e in vec_boxes(d):
+                    expected = reference_strata_table(bd, e)
+                    assert strata_table(bd, e) == expected, (q.label(), str(m), str(n), e)
+                    assert strata_kernel(bd, e) == strata_sum(expected, 1), (q.label(), str(m), str(n), e)
+                    tables += 1
+    assert tables == 3936
+
+
+def test_strata_negative_complement_raises(monkeypatch):
+    # a stored x_ker larger than X makes the i = 1 base exceed the product
+    bd = bongartz_data(A2, cls((1, 2)), cls((1, 1), (2, 2)))
+    bad = dataclasses.replace(bd, x_ker=bd.x_class.union(bd.x_class), s_im=RepClass.empty(), s_quot=bd.s_class)
+    monkeypatch.setattr(grass, "boundary_check", lambda bd: True)
+    with pytest.raises(InternalCheckError, match="negative count"):
+        strata_table(bad, (1, 1))
+    with pytest.raises(InternalCheckError, match="negative count"):
+        strata_kernel(bad, (1, 1))
+
+
+def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
+    from quivergrass import specialize
+
+    calls = []
+    real = grass.betti_recursion
+
+    def recording(q, m, e, **kwargs):
+        calls.append((q, m, e))
+        return real(q, m, e, **kwargs)
+
+    monkeypatch.setattr(grass, "betti_recursion", recording)
+    monkeypatch.setattr(specialize, "betti_recursion", recording)
+    for q in all_quivers(3):
+        if q.n == 3:
+            assert not specialize.verify_theorem(q, (2, 2, 2)).failures
+    assert calls
+    for q, m, e in calls:
+        assert all(x >= 0 for x in e) and vec_leq(e, m.dim(q.n)), (q.label(), str(m), e)
 
 
 def test_strata_reconstruction_sweep():

@@ -19,7 +19,7 @@ from quivergrass.homalg import (
     subquotient_class,
     tau,
 )
-from quivergrass.linalg import Mat, rank
+from quivergrass.linalg import Mat, rank, solve
 from quivergrass.quiver import (
     ExplicitRep,
     InternalCheckError,
@@ -161,11 +161,60 @@ def test_iso_identify_examples():
     assert iso_identify(e) == cls((1, 1), (2, 2))
 
 
+def reference_iso_identify(f):
+    """The multiplicities by an exact solve of the Hom-table system per call."""
+    q = f.quiver
+    intervals = intervals_of(q)
+    counts = [hom_dim(explicit_of(q, RepClass(((u, 1),))), f) for u in intervals]
+    x = solve(Mat.from_rows(hom_table(q), ncols=len(intervals)), Mat.from_rows([[c] for c in counts], ncols=1))
+    pairs = []
+    for i, u in enumerate(intervals):
+        value = x.rows[i][0]
+        if value.denominator != 1 or value < 0:
+            raise ValueError(f"multiplicity of {u} solves to {value}; input is not a valid representation")
+        if value:
+            pairs.append((u, int(value)))
+    return RepClass(tuple(pairs))
+
+
+def test_hom_table_inverse_is_integral_a1_a5():
+    for q in all_quivers(5):
+        table = hom_table(q)
+        inverse = homalg._hom_table_inverse(q)
+        assert all(type(x) is int for row in inverse for x in row)
+        size = len(table)
+        product = [[sum(table[i][k] * inverse[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+        assert product == [[int(i == j) for j in range(size)] for i in range(size)], q.label()
+
+
+def test_hom_table_inverse_rejects_a_non_unimodular_table(monkeypatch):
+    build = homalg._hom_table_inverse.__wrapped__
+    doubled = tuple(tuple(2 * x for x in row) for row in hom_table(A2))
+    monkeypatch.setattr(homalg, "hom_table", lambda q: doubled)
+    with pytest.raises(InternalCheckError, match="not unimodular"):
+        build(A2)
+    monkeypatch.setattr(homalg, "hom_table", lambda q: ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    with pytest.raises(InternalCheckError, match="singular"):
+        build(A2)
+
+
+def test_iso_identify_rejects_a_negative_multiplicity(monkeypatch):
+    # Hom counts equal to a unit vector whose inverse column has a negative entry
+    inverse = homalg._hom_table_inverse(A2)
+    j = next(j for j in range(len(inverse)) if any(row[j] < 0 for row in inverse))
+    counts = iter([int(i == j) for i in range(len(inverse))])
+    monkeypatch.setattr(homalg, "hom_dim", lambda f, g: next(counts))
+    with pytest.raises(ValueError, match="solves to -"):
+        iso_identify(explicit_of(A2, cls((1, 2))))
+
+
 def test_iso_round_trip_exhaustive():
     for q in all_quivers(3):
         for d in all_dims(q.n, 6):
             for m in enumerate_rep_classes(q, d):
-                assert iso_identify(explicit_of(q, m)) == m
+                rep = explicit_of(q, m)
+                assert iso_identify(rep) == m
+                assert reference_iso_identify(rep) == m
 
 
 @given(st.sampled_from(list(all_quivers(4))), st.data())
@@ -195,6 +244,7 @@ def test_iso_identify_arbitrary_matrices(q, data):
     rep = ExplicitRep(q, dims, tuple(mats))
     found = iso_identify(rep)
     assert found.dim(q.n) == dims
+    assert found == reference_iso_identify(rep)
 
 
 def test_hom_basis_examples():
