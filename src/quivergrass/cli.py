@@ -9,14 +9,17 @@ integers.  All outputs are deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
+from functools import cache
 
 from .degen import bongartz_data, degeneration_poset
 from .grass import PoincarePoly, betti_oracle, betti_recursion
 from .quiver import InternalCheckError, Interval, RepClass, TypeAQuiver
 from .specialize import (
+    VerifySummary,
     check_degeneration,
     default_jobs,
     pbw_rep,
@@ -100,13 +103,69 @@ def _poly_json(p: PoincarePoly) -> dict:
     return {"coefficients": list(p.coeffs), "pretty": p.pretty()}
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing, or stdout when path is empty or '-'."""
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            yield handle
     else:
-        print(text)
+        yield sys.stdout
+
+
+def _emit(payload: dict, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _nested(value, level: int) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) lays it out nested level deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _write_array(write, items) -> None:
+    """Write pre-rendered items at depth 2 as the array at depth 1 that holds them."""
+    sep = "[\n    "
+    for item in items:
+        write(sep + item)
+        sep = ",\n    "
+    write("[]" if sep == "[\n    " else "\n  ]")
+
+
+def _write_verify(write, summary: VerifySummary) -> None:
+    """Write the verify report, json.dumps(payload, indent=2, sort_keys=True) + "\\n", piece by piece.
+
+    The payload has the keys checks (one per cover and e), counts, covers,
+    dim, failures, nonzero_kernels, quiver and sub, written in that (sorted)
+    order without building the payload or its text.  Each class text,
+    e-vector and kernel is rendered once per call.
+    """
+    text = cache(lambda m: json.dumps(m.text()))
+    vec = cache(lambda e: _nested(list(e), 3))
+    poly = cache(lambda p: _nested(_poly_json(p), 3))
+
+    def item(m, n, e, kernel, is_check):
+        kind = '\n      "kind": "cover",' if is_check else ""
+        return (
+            f'{{\n      "e": {vec(e)},\n      "kernel": {poly(kernel)},{kind}'
+            f'\n      "m": {text(m)},\n      "n": {text(n)}\n    }}'
+        )
+
+    counts = {
+        "nodes": summary.nodes,
+        "covers": summary.covers,
+        "cover_checks": summary.cover_checks,
+        "bound_checks": summary.bound_checks,
+    }
+    covers = dict.fromkeys((m, n) for m, n, _, _ in summary.kernels)
+    write('{\n  "checks": ')
+    _write_array(write, (item(m, n, e, kernel, True) for m, n, e, kernel in summary.kernels))
+    write(f',\n  "counts": {_nested(counts, 1)},\n  "covers": ')
+    _write_array(write, (f"[\n      {text(m)},\n      {text(n)}\n    ]" for m, n in covers))
+    write(f',\n  "dim": {_nested(list(summary.d), 1)},\n  "failures": {_nested(list(summary.failures), 1)}')
+    write(',\n  "nonzero_kernels": ')
+    _write_array(write, (item(m, n, e, kernel, False) for m, n, e, kernel in summary.kernels if kernel))
+    write(f',\n  "quiver": {json.dumps(summary.quiver.label())},\n  "sub": null\n}}\n')
 
 
 def _dot_of_poset(q: TypeAQuiver, poset) -> str:
@@ -207,36 +266,8 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     summary = verify_theorem(q, d, jobs=args.jobs)
-    covers = dict.fromkeys((m, n) for m, n, _, _ in summary.kernels)
-    payload = {
-        "quiver": q.label(),
-        "dim": list(d),
-        "sub": None,
-        "covers": [[m.text(), n.text()] for m, n in covers],
-        "checks": [
-            {
-                "kind": "cover",
-                "m": m.text(),
-                "n": n.text(),
-                "e": list(e),
-                "kernel": _poly_json(kernel),
-            }
-            for m, n, e, kernel in summary.kernels
-        ],
-        "failures": list(summary.failures),
-        "counts": {
-            "nodes": summary.nodes,
-            "covers": summary.covers,
-            "cover_checks": summary.cover_checks,
-            "bound_checks": summary.bound_checks,
-        },
-        "nonzero_kernels": [
-            {"m": m.text(), "n": n.text(), "e": list(e), "kernel": _poly_json(kernel)}
-            for m, n, e, kernel in summary.kernels
-            if kernel
-        ],
-    }
-    _emit(payload, args.json)
+    with _output(args.json) as out:
+        _write_verify(out.write, summary)
     return 0 if not summary.failures else 1
 
 

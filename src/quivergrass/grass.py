@@ -25,8 +25,10 @@ induced extension class vanishes (i = 0) or not (i = 1) partitions the
 Grassmannian of n, the i = 0 part alone accounting for m.  Only the splits
 f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
 support pairs are computed; every other split is a zero record.  The i = 1
-sum alone (strata_kernel) comes from the same support terms without
-building records.
+sums at every e <= dim m at once (strata_kernel_table) walk each support
+pair once, reading the Betti numbers of the four classes from tables over
+their own dimension boxes; both routes apply one per-pair rule
+(_stratum_rule).
 """
 
 from __future__ import annotations
@@ -493,6 +495,29 @@ class StratumRecord:
     base_poly: PoincarePoly
 
 
+def _stratum_rule(q: TypeAQuiver, dim_x: tuple[int, ...], f, g, product: PoincarePoly, base1: PoincarePoly):
+    """(base0, shift0, base1, shift1) of the split f + g, given P(X, f) P(S, g).
+
+    The i = 0 base is the complement of the i = 1 base in the product and
+    must be nonnegative; a nonzero stratum sits over an affine space of the
+    Euler pairing's dimension, one more for i = 1, which must be nonnegative.
+    Zero strata get shift 0.
+    """
+    base0 = product - base1
+    if not base0.is_nonneg():
+        raise InternalCheckError(f"stratum complement has a negative count at f={f}, g={g}: {base0}")
+    shift0 = shift1 = 0
+    if base0 or base1:
+        pairing = euler_form(q, g, vec_sub(dim_x, f))
+        if base0:
+            shift0 = pairing
+        if base1:
+            shift1 = pairing + 1
+        if shift0 < 0 or shift1 < 0:
+            raise InternalCheckError(f"negative affine shift at f={f}, g={g}")
+    return base0, shift0, base1, shift1
+
+
 def _strata_terms(bd: BongartzData, e: tuple[int, ...]):
     """Terms (f, g, base0, shift0, base1, shift1) of the support pairs f + g = e.
 
@@ -516,21 +541,8 @@ def _strata_terms(bd: BongartzData, e: tuple[int, ...]):
         base1 = PoincarePoly.zero()
         if vec_leq(f, dim_ker) and all(x >= 0 for x in g_red):
             base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
-        base0 = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g) - base1
-        if not base0.is_nonneg():
-            raise InternalCheckError(
-                f"stratum complement has a negative count at f={f}, g={g}: {base0}"
-            )
-        shift0 = shift1 = 0
-        if base0 or base1:
-            pairing = euler_form(q, g, vec_sub(dim_x, f))
-            if base0:
-                shift0 = pairing
-            if base1:
-                shift1 = pairing + 1
-            if shift0 < 0 or shift1 < 0:
-                raise InternalCheckError(f"negative affine shift at f={f}, g={g}")
-        yield f, g, base0, shift0, base1, shift1
+        product = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g)
+        yield (f, g) + _stratum_rule(q, dim_x, f, g, product, base1)
 
 
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
@@ -559,18 +571,39 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     return tuple(records)
 
 
-def strata_kernel(bd: BongartzData, e: tuple[int, ...]) -> PoincarePoly:
-    """The i = 1 part of the strata table of bd at e, summed without records.
+def strata_kernel_table(bd: BongartzData) -> dict[tuple[int, ...], PoincarePoly]:
+    """The i = 1 sum of the strata table of bd at every e <= dim m, keyed by e.
 
-    Equal to strata_sum(strata_table(bd, e), 1): the i = 1 records outside
-    the support are zero.
+    Entry e equals strata_sum(strata_table(bd, e), 1).  Each support pair
+    f <= dim X, g <= dim S is visited once, under the rule of strata_table,
+    and adds its i = 1 term to e = f + g.  P(X, f), P(S, g) and the i = 1
+    base factors are read from Betti tables over the dimension boxes of X, S,
+    x_ker and s_quot, each filled once; outside its box a table reads 0, as
+    the recursion would.
     """
     boundary_check(bd)
-    total = PoincarePoly.zero()
-    for _, _, _, _, base1, shift1 in _strata_terms(bd, e):
-        if base1:
-            total = total + base1.shift(shift1)
-    return total
+    q = bd.quiver
+    x_class, s_class = bd.x_class, bd.s_class
+    dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
+    s_vec = bd.s_im.dim(q.n)
+
+    def betti_table(m: RepClass) -> dict[tuple[int, ...], PoincarePoly]:
+        return {f: betti_recursion(q, m, f) for f in vec_boxes(m.dim(q.n))}
+
+    p_x, p_s, p_ker, p_quot = map(betti_table, (x_class, s_class, bd.x_ker, bd.s_quot))
+    zero = PoincarePoly.zero()
+    # the s_quot factor of g, at g - dim s_im; a negative entry is off the box
+    quot_of = {g: p_quot.get(tuple(x - y for x, y in zip(g, s_vec)), zero) for g in p_s}
+    kernels = dict.fromkeys(vec_boxes(tuple(x + s for x, s in zip(dim_x, dim_s))), zero)
+    for f, pf in p_x.items():
+        ker_f = p_ker.get(f, zero)
+        for g, pg in p_s.items():
+            base1 = ker_f * quot_of[g]
+            _, _, base1, shift1 = _stratum_rule(q, dim_x, f, g, pf * pg, base1)
+            if base1:
+                e = tuple(x + y for x, y in zip(f, g))
+                kernels[e] = kernels[e] + base1.shift(shift1)
+    return kernels
 
 
 def strata_sum(records: tuple[StratumRecord, ...], which: int | None = None) -> PoincarePoly:

@@ -1,13 +1,15 @@
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass import specialize
-from quivergrass.cli import UsageError, main, parse_quiver, parse_rep, parse_vec
+from quivergrass import cli, specialize
+from quivergrass.cli import UsageError, _poly_json, main, parse_quiver, parse_rep, parse_vec
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver
 
 
@@ -129,12 +131,99 @@ def test_cli_verify_schema(capsys):
     assert len(payload["checks"]) == 4
 
 
-def test_cli_verify_output_is_deterministic(capsys):
+def test_cli_verify_output_is_deterministic(capsys, tmp_path):
     argv = ("verify", "--quiver", "A3:FB", "--dim", "1,1,1", "--jobs", "1")
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first[0] == 0
     assert first[1] == second[1]
+    out_json = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, *argv, "--json", str(out_json))
+    assert (code, out) == (0, "")
+    assert out_json.read_bytes() == first[1].encode("utf-8")
+
+
+def reference_verify_payload(q, d, summary):
+    """The verify report as one dict, the way the report was built before it was streamed."""
+    covers = dict.fromkeys((m, n) for m, n, _, _ in summary.kernels)
+    return {
+        "quiver": q.label(),
+        "dim": list(d),
+        "sub": None,
+        "covers": [[m.text(), n.text()] for m, n in covers],
+        "checks": [
+            {
+                "kind": "cover",
+                "m": m.text(),
+                "n": n.text(),
+                "e": list(e),
+                "kernel": _poly_json(kernel),
+            }
+            for m, n, e, kernel in summary.kernels
+        ],
+        "failures": list(summary.failures),
+        "counts": {
+            "nodes": summary.nodes,
+            "covers": summary.covers,
+            "cover_checks": summary.cover_checks,
+            "bound_checks": summary.bound_checks,
+        },
+        "nonzero_kernels": [
+            {"m": m.text(), "n": n.text(), "e": list(e), "kernel": _poly_json(kernel)}
+            for m, n, e, kernel in summary.kernels
+            if kernel
+        ],
+    }
+
+
+def streamed_and_reference(monkeypatch, capsys, label, d, failures=None):
+    """The stdout of verify on (label, d) and the reference bytes of the summary it wrote.
+
+    With failures given, the summary's failures are replaced by them first.
+    """
+    summaries = []
+
+    def recording(q, d, jobs):
+        summary = specialize.verify_theorem(q, d, jobs=jobs)
+        if failures is not None:
+            summary = dataclasses.replace(summary, failures=failures)
+        summaries.append(summary)
+        return summary
+
+    monkeypatch.setattr(cli, "verify_theorem", recording)
+    code, out, _ = run_cli(capsys, "verify", "--quiver", label, "--dim", ",".join(map(str, d)), "--jobs", "1")
+    (summary,) = summaries
+    assert code == (1 if summary.failures else 0)
+    q = parse_quiver(label)
+    return summary, out, json.dumps(reference_verify_payload(q, d, summary), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_verify_streams_the_reference_bytes(monkeypatch, capsys):
+    cases = []
+    for n in range(1, 4):
+        for flags in itertools.product("FB", repeat=n - 1):
+            label = f"A{n}:{''.join(flags)}"
+            cases += [(label, d) for d in itertools.product(range(3), repeat=n)]
+    cases.append(("A4:FFF", (2, 2, 2, 2)))
+    assert ("A1:", (0,)) in cases and len(cases) == 130
+    for label, d in cases:
+        summary, out, expected = streamed_and_reference(monkeypatch, capsys, label, d)
+        same = out == expected  # a bare bool: pytest would diff megabytes of text
+        assert same, (label, d)
+        if (label, d) == ("A1:", (0,)):
+            assert summary.covers == 0 and '"checks": []' in out
+
+
+def test_cli_verify_streams_awkward_failure_strings(monkeypatch, capsys):
+    failures = (
+        'monotonicity fails: "[1,2]" -> \\[2,2]\\ at e=(1, 0)',
+        "kernel identity fails: \u00e9\u00e8 \u2264 \U0001d54f at e=(0, 1)",
+        "a tab\tand a newline\n in one line",
+    )
+    summary, out, expected = streamed_and_reference(monkeypatch, capsys, "A2:F", (1, 1), failures)
+    assert summary.failures == failures
+    assert out == expected
+    assert json.loads(out)["failures"] == list(failures)
 
 
 def test_cli_pbw_pinned(capsys):
@@ -355,6 +444,9 @@ def test_cli_help_is_plain_usage(capsys):
         ("poset", "--quiver", "A2:F", "--dim", "1,1", "--json"),
         ("poset", "--quiver", "A2:F", "--dim", "1,1", "--dot"),
         ("pbw", "--n", "2", "--i", "1", "--json"),
+        ("verify", "--quiver", "A2:F", "--dim", "1,1", "--jobs", "1", "--json"),
+        ("strata", "--quiver", "A2:F", "--m", "[1,2]", "--n", "[1,1],[2,2]", "--sub", "1,0", "--json"),
+        ("betti", "--quiver", "A2:F", "--rep", "[1,2]", "--sub", "1,0", "--json"),
     ],
 )
 def test_cli_unwritable_output_path(tmp_path, capsys, argv):

@@ -17,7 +17,7 @@ from quivergrass.grass import (
     peel_summand,
     StratumRecord,
     point_count,
-    strata_kernel,
+    strata_kernel_table,
     strata_sum,
     strata_table,
 )
@@ -517,12 +517,29 @@ def test_strata_table_matches_reference_over_a1_a3():
         for d in vec_boxes(tuple([2] * q.n)):
             for m, n in degeneration_poset(q, d).covers:
                 bd = bongartz_data(q, m, n)
+                kernels = strata_kernel_table(bd)
+                assert list(kernels) == list(vec_boxes(d))
                 for e in vec_boxes(d):
                     expected = reference_strata_table(bd, e)
                     assert strata_table(bd, e) == expected, (q.label(), str(m), str(n), e)
-                    assert strata_kernel(bd, e) == strata_sum(expected, 1), (q.label(), str(m), str(n), e)
+                    assert kernels[e] == strata_sum(expected, 1), (q.label(), str(m), str(n), e)
                     tables += 1
     assert tables == 3936
+
+
+@given(st.sampled_from([q for q in all_quivers(5) if q.n >= 4]), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_strata_kernel_table_matches_per_e_tables(q, data):
+    d = tuple(data.draw(st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)))
+    covers = degeneration_poset(q, d).covers
+    if not covers:
+        return
+    m, n = data.draw(st.sampled_from(covers))
+    bd = bongartz_data(q, m, n)
+    kernels = strata_kernel_table(bd)
+    assert list(kernels) == list(vec_boxes(d))
+    for e in vec_boxes(d):
+        assert kernels[e] == strata_sum(strata_table(bd, e), 1), (q.label(), str(m), str(n), e)
 
 
 def test_strata_negative_complement_raises(monkeypatch):
@@ -533,7 +550,7 @@ def test_strata_negative_complement_raises(monkeypatch):
     with pytest.raises(InternalCheckError, match="negative count"):
         strata_table(bad, (1, 1))
     with pytest.raises(InternalCheckError, match="negative count"):
-        strata_kernel(bad, (1, 1))
+        strata_kernel_table(bad)
 
 
 def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
@@ -554,6 +571,43 @@ def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
     assert calls
     for q, m, e in calls:
         assert all(x >= 0 for x in e) and vec_leq(e, m.dim(q.n)), (q.label(), str(m), e)
+
+
+def test_verify_runs_each_cover_check_once(monkeypatch):
+    """One boundary_check per cover, and the per-pair rule once on each support pair
+    that the per-e tables visit over all e <= d."""
+    from quivergrass import specialize
+
+    checked, pairs = [], []
+    real_check, real_rule = grass.boundary_check, grass._stratum_rule
+
+    def recording_check(bd):
+        checked.append(bd)
+        return real_check(bd)
+
+    def recording_rule(q, dim_x, f, g, product, base1):
+        pairs.append((f, g))
+        return real_rule(q, dim_x, f, g, product, base1)
+
+    monkeypatch.setattr(grass, "boundary_check", recording_check)
+    monkeypatch.setattr(grass, "_stratum_rule", recording_rule)
+    q, d = TypeAQuiver(3, "FB"), (2, 2, 2)
+    covers = degeneration_poset(q, d).covers
+    assert not specialize.verify_theorem(q, d).failures
+    assert checked == [bongartz_data(q, m, n) for m, n in covers]
+    swept = len(pairs)
+    per_cover = 0
+    for m, n in covers:
+        bd = bongartz_data(q, m, n)
+        del pairs[:]
+        strata_kernel_table(bd)
+        whole = list(pairs)
+        del pairs[:]
+        for e in vec_boxes(d):
+            strata_table(bd, e)
+        assert sorted(whole) == sorted(pairs) and len(set(whole)) == len(whole), (str(m), str(n))
+        per_cover += len(whole)
+    assert swept == per_cover
 
 
 def test_strata_reconstruction_sweep():
