@@ -8,16 +8,20 @@ each B is a point fixed by its dimension vector g, and
 P(m, e) = sum over g of q^<g, dim rest - (e - g)> P(rest, e - g).  The
 peeled S is the least summand interval with no extension into the others
 (peel_summand), or the largest when the reverse direction is asked for.  The
-recursion is memoised per (class, e, direction), and the zero class is its
-only base case (a point at e = 0, empty elsewhere).  Route two is an oracle:
-count subrepresentations over several prime fields, then interpolate the
-counting polynomial (Grassmannians here are paved by affine cells, so the
-count is a polynomial in the field size whose coefficients are the even
-Betti numbers).  The count splits the vertices into runs linked by arrows
-whose condition bites; each run is walked from its end with fewer
-subspaces, enumerating subspaces in reduced row echelon form at every vertex
-but the last, whose admissible subspaces are counted in closed form from
-one rank over F_p.
+recursion builds whole tables (betti_table): the table of m over a box
+lo <= e <= hi is one twisted convolution of the table of rest over the box
+max(0, lo - dim S) <= f <= min(hi, dim rest) with the sub vectors g of S.
+Tables are memoised per (class, box, direction); a full box shares one entry
+per class, and betti_recursion reads a single e from the box [e, e].  The
+zero class is the only base case (a point at e = 0, empty elsewhere).
+Route two is an oracle: count subrepresentations over several prime fields,
+then interpolate the counting polynomial (Grassmannians here are paved by
+affine cells, so the count is a polynomial in the field size whose
+coefficients are the even Betti numbers).  The count splits the vertices
+into runs linked by arrows whose condition bites; each run is walked from
+its end with fewer subspaces, enumerating subspaces in reduced row echelon
+form at every vertex but the last, whose admissible subspaces are counted in
+closed form from one rank over F_p.
 
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
@@ -26,17 +30,20 @@ Grassmannian of n, the i = 0 part alone accounting for m.  Only the splits
 f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
 support pairs are computed; every other split is a zero record.  The i = 1
 sums at every e <= dim m at once (strata_kernel_table) walk each support
-pair once, reading the Betti numbers of the four classes from tables over
-their own dimension boxes; both routes apply one per-pair rule
-(_stratum_rule).
+pair once, reading the Betti numbers of the four classes from their full
+Betti tables; a single e (strata_table) reads them from one table each over
+the support box of e.  Both routes apply one per-pair rule (_stratum_rule).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import add, mul, sub
+from types import MappingProxyType
 
 from .degen import BongartzData, boundary_check
 from .homalg import euler_form, ext_intervals
@@ -189,16 +196,42 @@ def peel_summand(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> Interval
 def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_peel: bool = False) -> PoincarePoly:
     """Poincare polynomial of the quiver Grassmannian of m at e, by peeling.
 
-    Each step peels peel_summand(q, m): the least summand with no extension
-    into the others, or the largest with reverse_peel, which must give the
-    same answer.  Zero when some entry of e is negative or exceeds dim m.
-    The peel nests one call per summand copy, so a class with more copies
-    than the interpreter's recursion limit allows is a ValueError.
+    Entry e of betti_table over the one-point box [e, e]; use betti_table
+    itself for many e.  Zero when some entry of e is negative or exceeds
+    dim m.  reverse_peel peels the largest admissible summand instead, which
+    must give the same answer.
     """
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
+    return betti_table(q, m, e, e, reverse_peel=reverse_peel)[e]
+
+
+def betti_table(
+    q: TypeAQuiver,
+    m: RepClass,
+    lo: tuple[int, ...] | None = None,
+    hi: tuple[int, ...] | None = None,
+    *,
+    reverse_peel: bool = False,
+) -> Mapping[tuple[int, ...], PoincarePoly]:
+    """Poincare polynomials of the quiver Grassmannians of m at every lo <= e <= hi.
+
+    The box defaults to 0 <= e <= dim m.  Keys run in lexicographic order,
+    zeros included; an entry outside 0 <= e <= dim m is 0.  Each peeled
+    summand copy S = peel_summand(q, m) (the largest with reverse_peel, which
+    must give the same table) costs one twisted convolution over the table of
+    rest = m - S on the box max(0, lo - dim S) <= f <= min(hi, dim rest).
+    Tables are memoised per (class, box, direction); the full box of m asks
+    for the full box of rest, so full tables keep one entry per class.  The
+    peel nests one call per summand copy, so a class with more copies than
+    the interpreter's recursion limit allows is a ValueError.
+    """
+    lo = (0,) * q.n if lo is None else tuple(lo)
+    hi = m.dim(q.n) if hi is None else tuple(hi)
+    if len(lo) != q.n or len(hi) != q.n:
+        raise ValueError("dimension vector length mismatch")
     try:
-        return _betti(q, m, e, reverse_peel)
+        return _betti_table(q, m, lo, hi, reverse_peel)
     except RecursionError:
         raise ValueError(
             f"{sum(k for _, k in m.pairs)} summand copies nest the peeling recursion too deep"
@@ -206,31 +239,66 @@ def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_
 
 
 @cache
-def _sub_vectors(q: TypeAQuiver, u: Interval) -> tuple[tuple[int, ...], ...]:
-    """Dimension vectors of the subrepresentations of the interval module u."""
-    return tuple(g for g in vec_boxes(u.indicator(q.n)) if gr_interval(q, u, g))
+def _peel_terms(q: TypeAQuiver, u: Interval) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(g, w) for every subrepresentation dimension vector g of the interval
+    module u, where w_v = <g, unit vector at v>, so <g, x> = w . x."""
+    units = [tuple(int(v == w) for w in range(q.n)) for v in range(q.n)]
+    return tuple(
+        (g, tuple(euler_form(q, g, unit) for unit in units))
+        for g in vec_boxes(u.indicator(q.n))
+        if gr_interval(q, u, g)
+    )
 
 
 @cache
-def _betti(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], reverse: bool) -> PoincarePoly:
+def _betti_table(
+    q: TypeAQuiver, m: RepClass, lo: tuple[int, ...], hi: tuple[int, ...], reverse: bool
+) -> Mapping[tuple[int, ...], PoincarePoly]:
+    """betti_table on the box [lo, hi], as an immutable mapping.
+
+    Peeling S off m, the subrepresentations of dimension e fiber over pairs
+    (f, g), f + g = e, of a subrepresentation of rest and a sub vector g of
+    S, with affine fibers of dimension <g, dim rest - f>.  By bilinearity
+    that exponent is w . dim rest - w . f for the linear form w of g
+    (_peel_terms).  Coefficients are summed in int lists; every
+    rest entry is nonnegative with a nonzero top coefficient, so each row
+    is already a normalised polynomial.
+    """
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    zero = PoincarePoly.zero()
     if not m.pairs:
-        return PoincarePoly.zero() if any(e) else PoincarePoly.one()
+        return MappingProxyType({e: zero if any(e) else PoincarePoly.one() for e in box})
+    acc: dict[tuple[int, ...], list[int]] = {}
     quot = peel_summand(q, m, reverse)
     rest = m.remove_one(quot)
     d_rest = rest.dim(q.n)
-    result = PoincarePoly.zero()
-    for g in _sub_vectors(q, quot):
-        f = tuple(x - y for x, y in zip(e, g))
-        if not all(0 <= x <= y for x, y in zip(f, d_rest)):
-            continue
-        pf = _betti(q, rest, f, reverse)
-        if not pf:
-            continue
-        exponent = euler_form(q, g, vec_sub(d_rest, f))
-        if exponent < 0:
-            raise InternalCheckError(f"negative fiber dimension peeling {quot} from {m} at e={e}")
-        result = result + pf.shift(exponent)
-    return result
+    rest_lo = tuple(max(0, a - p) for a, p in zip(lo, quot.indicator(q.n)))
+    rest_hi = tuple(min(b, r) for b, r in zip(hi, d_rest))
+    if all(a <= b for a, b in zip(lo, hi)) and all(a <= b for a, b in zip(rest_lo, rest_hi)):
+        rest_table = _betti_table(q, rest, rest_lo, rest_hi, reverse)
+        for g, weights in _peel_terms(q, quot):
+            base = sum(map(mul, weights, d_rest))
+            # the f of the rest box with lo <= f + g <= hi
+            f_box = (
+                range(max(a, c - x), min(b, d - x) + 1) for a, b, c, d, x in zip(rest_lo, rest_hi, lo, hi, g)
+            )
+            for f in itertools.product(*f_box):
+                coeffs = rest_table[f].coeffs
+                if not coeffs:
+                    continue
+                e = tuple(map(add, f, g))
+                shift = base - sum(map(mul, weights, f))
+                if shift < 0:
+                    raise InternalCheckError(f"negative fiber dimension peeling {quot} from {m} at e={e}")
+                end = shift + len(coeffs)
+                row = acc.get(e)
+                if row is None:
+                    acc[e] = [0] * shift + list(coeffs)
+                    continue
+                if len(row) < end:
+                    row.extend([0] * (end - len(row)))
+                row[shift:end] = map(add, row[shift:end], coeffs)
+    return MappingProxyType({e: PoincarePoly(tuple(acc[e])) if e in acc else zero for e in box})
 
 
 # ---------------------------------------------------------------------------
@@ -524,25 +592,28 @@ def _strata_terms(bd: BongartzData, e: tuple[int, ...]):
     The support is max(0, e - dim S) <= f <= min(e, dim X), in lexicographic
     f order.  Outside it P(X, f) P(S, g) is 0, and so is the i = 1 base:
     x_ker is a subrepresentation of X and s_im + s_quot has the dimension of
-    S.  Inside it the i = 1 base is asked of the recursion only where f fits
-    x_ker and g fits s_quot over s_im.  The caller runs boundary_check.
+    S.  The Betti numbers of X and x_ker are read from one table each over
+    the support box of f, those of S and of s_quot (at g - dim s_im) from one
+    table each over the matching box of g; the tables read 0 wherever f
+    exceeds x_ker or g - dim s_im leaves s_quot.  The caller runs
+    boundary_check.
     """
     q = bd.quiver
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
     x_class, s_class = bd.x_class, bd.s_class
     dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
-    dim_ker = bd.x_ker.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
-    box = (range(max(0, a - s), min(a, x) + 1) for a, x, s in zip(e, dim_x, dim_s))
-    for f in itertools.product(*box):
+    f_lo = tuple(max(0, a - s) for a, s in zip(e, dim_s))
+    f_hi = tuple(min(a, x) for a, x in zip(e, dim_x))
+    g_lo, g_hi = tuple(map(sub, e, f_hi)), tuple(map(sub, e, f_lo))
+    p_x, p_ker = (betti_table(q, c, f_lo, f_hi) for c in (x_class, bd.x_ker))
+    p_s = betti_table(q, s_class, g_lo, g_hi)
+    p_quot = betti_table(q, bd.s_quot, tuple(map(sub, g_lo, s_vec)), tuple(map(sub, g_hi, s_vec)))
+    for f, pf in p_x.items():
         g = vec_sub(e, f)
-        g_red = tuple(x - y for x, y in zip(g, s_vec))
-        base1 = PoincarePoly.zero()
-        if vec_leq(f, dim_ker) and all(x >= 0 for x in g_red):
-            base1 = betti_recursion(q, bd.x_ker, f) * betti_recursion(q, bd.s_quot, g_red)
-        product = betti_recursion(q, x_class, f) * betti_recursion(q, s_class, g)
-        yield (f, g) + _stratum_rule(q, dim_x, f, g, product, base1)
+        base1 = p_ker[f] * p_quot[tuple(map(sub, g, s_vec))]
+        yield (f, g) + _stratum_rule(q, dim_x, f, g, pf * p_s[g], base1)
 
 
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
@@ -577,20 +648,16 @@ def strata_kernel_table(bd: BongartzData) -> dict[tuple[int, ...], PoincarePoly]
     Entry e equals strata_sum(strata_table(bd, e), 1).  Each support pair
     f <= dim X, g <= dim S is visited once, under the rule of strata_table,
     and adds its i = 1 term to e = f + g.  P(X, f), P(S, g) and the i = 1
-    base factors are read from Betti tables over the dimension boxes of X, S,
-    x_ker and s_quot, each filled once; outside its box a table reads 0, as
-    the recursion would.
+    base factors are read from the full Betti tables (betti_table) of X, S,
+    x_ker and s_quot; outside its box a table reads 0, as the recursion
+    would.
     """
     boundary_check(bd)
     q = bd.quiver
     x_class, s_class = bd.x_class, bd.s_class
     dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
-
-    def betti_table(m: RepClass) -> dict[tuple[int, ...], PoincarePoly]:
-        return {f: betti_recursion(q, m, f) for f in vec_boxes(m.dim(q.n))}
-
-    p_x, p_s, p_ker, p_quot = map(betti_table, (x_class, s_class, bd.x_ker, bd.s_quot))
+    p_x, p_s, p_ker, p_quot = (betti_table(q, c) for c in (x_class, s_class, bd.x_ker, bd.s_quot))
     zero = PoincarePoly.zero()
     # the s_quot factor of g, at g - dim s_im; a negative entry is off the box
     quot_of = {g: p_quot.get(tuple(x - y for x, y in zip(g, s_vec)), zero) for g in p_s}

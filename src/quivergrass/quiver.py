@@ -69,9 +69,22 @@ class Interval:
 
 @dataclass(frozen=True)
 class RepClass:
-    """Multiset of intervals; pairs is sorted with positive multiplicities."""
+    """Multiset of intervals; pairs is sorted with positive multiplicities.
+
+    Classes key most caches, so the hash is computed from plain ints on
+    first use and kept on the instance (many classes are built and never
+    hashed); equality compares pairs alone.
+    """
 
     pairs: tuple[tuple[Interval, int], ...]
+    _hash = None  # not a field: set on the instance by the first __hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(tuple([(u.a, u.b, k) for u, k in self.pairs]))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Interval, int]]) -> "RepClass":

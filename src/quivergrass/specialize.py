@@ -20,6 +20,7 @@ from .grass import (
     PoincarePoly,
     StratumRecord,
     betti_recursion,
+    betti_table,
     gaussian_binomial,
     strata_kernel_table,
     strata_sum,
@@ -127,10 +128,10 @@ def _sweep_cover(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]
     """The checks of _cover_check at every e, against the whole i = 1 table."""
     q, m, n, es = args
     strata_kernels = strata_kernel_table(bongartz_data(q, m, n))
+    table_m, table_n = betti_table(q, m), betti_table(q, n)
     out = []
     for e in es:
-        p_n = betti_recursion(q, n, e)
-        p_m = betti_recursion(q, m, e)
+        p_n, p_m = table_n[e], table_m[e]
         kernel = p_n - p_m
         out.append((e, kernel, p_m.leq(p_n), kernel == strata_kernels[e]))
     return out
@@ -186,9 +187,10 @@ def verify_theorem(
         bounds.append(bound)
     bound_checks = 0
     for node in poset.nodes:
+        table = betti_table(q, node)
         for e, bound in zip(es, bounds):
             bound_checks += 1
-            value = betti_recursion(q, node, e)
+            value = table[e]
             if not value.leq(bound):
                 failures.append(f"Grassmannian-product bound fails: {node} at e={e}")
             if node == top and value != bound:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from quivergrass.grass import (
     PoincarePoly,
     betti_oracle,
     betti_recursion,
+    betti_table,
     first_primes,
     gaussian_binomial,
     gr_interval,
@@ -214,14 +216,65 @@ def test_betti_matches_reference_recursion():
     for q in all_quivers(3):
         for d in vec_boxes(tuple([2] * q.n)):
             for m in enumerate_rep_classes(q, d):
+                tables = {reverse: betti_table(q, m, reverse_peel=reverse) for reverse in (False, True)}
+                for reverse, table in tables.items():
+                    assert list(table) == list(vec_boxes(d))
                 for e in vec_boxes(d):
                     for reverse in (False, True):
                         expected = reference_betti(q, m, e, reverse)
                         assert betti_recursion(q, m, e, reverse_peel=reverse) == expected, (
                             q.label(), m.text(), e, reverse
                         )
+                        assert tables[reverse][e] == expected, (q.label(), m.text(), e, reverse)
                         checked += 1
     assert checked == 7820
+
+
+@given(st.sampled_from(list(all_quivers(5))), st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_betti_table_is_box_independent(q, data):
+    d = tuple(data.draw(st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n)))
+    m = data.draw(st.sampled_from(enumerate_rep_classes(q, d)))
+    lo = tuple(data.draw(st.integers(-1, x + 1)) for x in d)
+    hi = tuple(data.draw(st.integers(a - 1, x + 1)) for a, x in zip(lo, d))
+    box = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    for reverse in (False, True):
+        table = betti_table(q, m, lo, hi, reverse_peel=reverse)
+        full = betti_table(q, m, reverse_peel=reverse)
+        assert list(table) == box
+        for e in box:
+            expected = reference_betti(q, m, e, reverse)
+            assert table[e] == expected, (q.label(), m.text(), lo, hi, e, reverse)
+            assert full.get(e, PoincarePoly.zero()) == expected
+
+
+@pytest.fixture
+def fresh_betti_tables():
+    """Betti tables and peel terms computed under a patched Euler form must not
+    outlive the test."""
+    for memo in (grass._betti_table, grass._peel_terms):
+        memo.cache_clear()
+    yield
+    for memo in (grass._betti_table, grass._peel_terms):
+        memo.cache_clear()
+
+
+def test_betti_negative_fiber_dimension_raises(monkeypatch, fresh_betti_tables):
+    monkeypatch.setattr(grass, "euler_form", lambda q, d, e: -1)
+    m = RepClass.from_pairs([(Interval(1, 2), 2), (Interval(2, 3), 1)])
+    with pytest.raises(InternalCheckError, match="negative fiber dimension"):
+        betti_table(A3, m)
+    with pytest.raises(InternalCheckError, match="negative fiber dimension"):
+        betti_recursion(A3, m, (1, 1, 0), reverse_peel=True)
+
+
+def test_betti_table_too_many_copies_is_a_value_error():
+    copies = sys.getrecursionlimit() + 1
+    m = RepClass.from_pairs([(Interval(1, 1), copies)])
+    with pytest.raises(ValueError, match=f"{copies} summand copies nest the peeling recursion too deep"):
+        betti_table(TypeAQuiver(1), m)
+    with pytest.raises(ValueError, match="length"):
+        betti_table(A3, cls((1, 2)), (0, 0))
 
 
 def test_betti_out_of_range_e_is_zero():
@@ -556,21 +609,22 @@ def test_strata_negative_complement_raises(monkeypatch):
 def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
     from quivergrass import specialize
 
-    calls = []
-    real = grass.betti_recursion
+    boxes = []
+    real = grass.betti_table
 
-    def recording(q, m, e, **kwargs):
-        calls.append((q, m, e))
-        return real(q, m, e, **kwargs)
+    def recording(q, m, lo=None, hi=None, **kwargs):
+        d = m.dim(q.n)
+        boxes.append((q, m, (0,) * q.n if lo is None else lo, d if hi is None else hi))
+        return real(q, m, lo, hi, **kwargs)
 
-    monkeypatch.setattr(grass, "betti_recursion", recording)
-    monkeypatch.setattr(specialize, "betti_recursion", recording)
+    monkeypatch.setattr(grass, "betti_table", recording)
+    monkeypatch.setattr(specialize, "betti_table", recording)
     for q in all_quivers(3):
         if q.n == 3:
             assert not specialize.verify_theorem(q, (2, 2, 2)).failures
-    assert calls
-    for q, m, e in calls:
-        assert all(x >= 0 for x in e) and vec_leq(e, m.dim(q.n)), (q.label(), str(m), e)
+    assert boxes
+    for q, m, lo, hi in boxes:
+        assert all(0 <= a <= b for a, b in zip(lo, hi)) and vec_leq(hi, m.dim(q.n)), (q.label(), str(m), lo, hi)
 
 
 def test_verify_runs_each_cover_check_once(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +190,23 @@ def test_repclass_multiset_semantics():
     with pytest.raises(ValueError):
         m.difference(cls((2, 2)))
     assert m.intersection(cls((1, 2), (2, 2))) == cls((1, 2))
+
+
+def test_repclass_hash_is_stable_across_constructions():
+    m = RepClass.from_pairs([(Interval(1, 2), 2), (Interval(1, 1), 1), (Interval(2, 3), 1)])
+    built = [
+        RepClass.from_copies([Interval(2, 3), Interval(1, 2), Interval(1, 1), Interval(1, 2)]),
+        cls((1, 2), (1, 2)).union(cls((2, 3), (1, 1))),
+        m.union(cls((3, 3))).difference(cls((3, 3))),
+        pickle.loads(pickle.dumps(m)),
+    ]
+    hash(m)
+    built.append(pickle.loads(pickle.dumps(m)))  # a copy that carries its hash
+    for other in built:
+        assert other == m and hash(other) == hash(m) and other.pairs == m.pairs
+    assert len({m, *built}) == 1
+    assert m != m.remove_one(Interval(1, 1)) and m != cls((1, 2))
+    assert hash(RepClass.empty()) == hash(m.difference(m))
 
 
 def test_vec_sub_rejects_negative():
