@@ -23,6 +23,7 @@ from .specialize import (
     check_degeneration,
     default_jobs,
     pbw_rep,
+    saturated_chain,
     verify_theorem,
 )
 
@@ -231,10 +232,10 @@ def cmd_strata(args) -> int:
     m = parse_rep(args.m, q)
     n = parse_rep(args.n, q)
     e = parse_vec(args.sub, q.n)
-    report = check_degeneration(q, m, n, e)
-    if len(report.chain) != 1:
-        raise UsageError(f"({m}, {n}) is not a cover; chain has {len(report.chain)} links")
-    check = report.chain[0]
+    links = len(saturated_chain(q, m, n)) - 1
+    if links != 1:
+        raise UsageError(f"({m}, {n}) is not a cover; chain has {links} links")
+    (check,) = check_degeneration(q, m, n, e).chain
     payload = {
         "quiver": q.label(),
         "m": m.text(),

@@ -1,15 +1,20 @@
 """Degeneration order, minimal degenerations, and their Bongartz decompositions.
 
 The degeneration order on classes of a fixed dimension vector is implemented
-as the Hom order: m <= n iff [U, m] <= [U, n] for every interval U.  The
-poset keeps one bitset row per class (its up-set), built with one
-threshold mask per interval and Hom count.  Minimal degenerations are the
-covers of that poset: the strict up-set of m minus everything strictly above
-a member of it.  Every cover decomposes as
-m = Y1 + common, n = x1 + s1 + common with a non-split extension
-0 -> x1 -> Y1 -> s1 -> 0, and common splits as X' + S', S' the least
-Ext-closed side, so that 0 -> x1 + X' -> m -> s1 + S' -> 0 generates its Ext
-space; the boundary classes cut out the subspace pairs that fail to lift.
+as the Hom order: m <= n iff [U, m] <= [U, n] for every interval U.  Every
+minimal degeneration (cover) is a Bongartz move: a non-split extension
+0 -> x1 -> Y1 -> s1 -> 0 of intervals with Ext^1(s1, x1) = 1 and Y1 a
+sub-multiset of m, swapped for x1 + s1.  local_covers lists the covers of
+one class from these moves alone; it is the route of saturated chains and
+of the cover test in bongartz_data, so one chain never builds a poset.
+degeneration_poset builds the whole poset, the route of whole sweeps: one
+bitset row per class (its up-set) from one threshold mask per interval and
+Hom count, and the covers as the strict up-set of m minus everything
+strictly above a member of it.  Every cover decomposes as
+m = Y1 + common, n = x1 + s1 + common, and common splits as X' + S', S' the
+least Ext-closed side, so that 0 -> x1 + X' -> m -> s1 + S' -> 0 generates
+its Ext space; the boundary classes cut out the subspace pairs that fail to
+lift.
 
 bongartz_data computes the middle term, the split and the boundary classes
 from intervals (the endpoint swap, an Ext closure and an overlap);
@@ -40,6 +45,7 @@ from .quiver import (
     TypeAQuiver,
     enumerate_rep_classes,
     explicit_of,
+    intervals_of,
     semisimple_class,
     vec_leq,
 )
@@ -56,16 +62,14 @@ def hom_leq(q: TypeAQuiver, m: RepClass, n: RepClass) -> bool:
 class DegenPoset:
     """Classes of dimension d under the Hom order, as bitset rows.
 
-    Bit j of up[i] is set iff nodes[i] <= nodes[j]; bit j of succ[i] is set
-    iff nodes[j] covers nodes[i].  covers lists the same edges as pairs,
-    i-major with j ascending.
+    Bit j of up[i] is set iff nodes[i] <= nodes[j].  covers lists the cover
+    edges as pairs, i-major with j ascending.
     """
 
     quiver: TypeAQuiver
     d: tuple[int, ...]
     nodes: tuple[RepClass, ...]
     up: tuple[int, ...]
-    succ: tuple[int, ...]
     covers: tuple[tuple[RepClass, RepClass], ...]
 
     @cached_property
@@ -73,21 +77,6 @@ class DegenPoset:
         """leq[i][j] iff nodes[i] <= nodes[j]; built on first read."""
         size = len(self.nodes)
         return tuple(tuple(bool(row >> j & 1) for j in range(size)) for row in self.up)
-
-    @cached_property
-    def _position(self) -> dict[RepClass, int]:
-        return {m: i for i, m in enumerate(self.nodes)}
-
-    def index(self, m: RepClass) -> int:
-        try:
-            return self._position[m]
-        except KeyError:
-            raise ValueError(f"{m} has no summand decomposition of dimension {self.d}") from None
-
-    def is_cover(self, m: RepClass, n: RepClass) -> bool:
-        """Whether n covers m; False when either class is not a node."""
-        i, j = self._position.get(m), self._position.get(n)
-        return i is not None and j is not None and bool(self.succ[i] >> j & 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -127,22 +116,57 @@ def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
         for i, t in enumerate(column):
             up[i] &= ge[t]
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    succ = []
     covers = []
     for i in range(size):
         above = 0
         for j in _bits(strict[i]):
             above |= strict[j]
-        row = strict[i] & ~above
-        succ.append(row)
-        covers.extend((nodes[i], nodes[j]) for j in _bits(row))
+        covers.extend((nodes[i], nodes[j]) for j in _bits(strict[i] & ~above))
     if size:
         top = full
         for row in up:
             top &= row
         if top.bit_count() != 1 or nodes[top.bit_length() - 1] != semisimple_class(q, d):
             raise InternalCheckError("semisimple class is not the unique maximum")
-    return DegenPoset(q, d, nodes, tuple(up), tuple(succ), tuple(covers))
+    return DegenPoset(q, d, nodes, tuple(up), tuple(covers))
+
+
+@cache
+def _moves(q: TypeAQuiver) -> tuple[tuple[RepClass, RepClass], ...]:
+    """(middle_term(x1, s1), x1 + s1) for every interval pair with Ext^1(s1, x1) = 1."""
+    intervals = intervals_of(q)
+    return tuple(
+        (middle_term(q, x1, s1), RepClass.from_copies((x1, s1)))
+        for x1 in intervals
+        for s1 in intervals
+        if ext_intervals(q, s1, x1) == 1
+    )
+
+
+@cache
+def local_covers(q: TypeAQuiver, m: RepClass) -> tuple[RepClass, ...]:
+    """The covers of m in the degeneration order, from Bongartz moves alone.
+
+    A move swaps a sub-multiset middle_term(x1, s1) of m for x1 + s1.  Every
+    cover is a move (bongartz_data checks that shape on each cover it
+    decomposes), and a class strictly between m and a move starts a chain
+    whose first link is a smaller move, so the covers are the moves that are
+    Hom-minimal among the moves of m.  They are sorted by pairs, the
+    canonical node order of degeneration_poset.
+    """
+    base = hom_vector(q, m)
+    have = dict(m.pairs)
+    moves: dict[RepClass, tuple[int, ...]] = {}
+    for middle, split in _moves(q):
+        if all(have.get(u, 0) >= k for u, k in middle.pairs):
+            n = m.difference(middle).union(split)
+            hv = hom_vector(q, n)
+            if hv == base or not all(a <= b for a, b in zip(base, hv)):
+                raise InternalCheckError(f"move {m} -> {n} is not a strict degeneration")
+            moves[n] = hv
+    below = lambda u, v: u != v and all(a <= b for a, b in zip(u, v))
+    covers = (n for n, hv in moves.items() if not any(below(other, hv) for other in moves.values()))
+    return tuple(sorted(covers, key=lambda n: n.pairs))
 
 
 @dataclass(frozen=True)
@@ -227,14 +251,12 @@ def _interval_map_parts(q: TypeAQuiver, u: Interval, v: Interval) -> tuple[RepCl
 
 @cache
 def bongartz_data(q: TypeAQuiver, m: RepClass, n: RepClass) -> BongartzData:
-    """Decompose a cover (m, n) of the degeneration poset.
+    """Decompose a cover (m, n) of the degeneration poset, found by local_covers.
 
     The middle term and the boundary classes come from interval arithmetic;
     boundary_check is the explicit linear-algebra check of the result.
     """
-    d = m.dim(q.n)
-    poset = degeneration_poset(q, d)
-    if not poset.is_cover(m, n):
+    if n not in local_covers(q, m):
         raise ValueError(f"({m}, {n}) is not a cover of the degeneration poset")
     common = m.intersection(n)
     n_extra = n.difference(common)

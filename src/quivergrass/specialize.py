@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .degen import bongartz_data, degeneration_poset, hom_leq
+from .degen import bongartz_data, degeneration_poset, hom_leq, local_covers
 from .grass import (
     PoincarePoly,
     StratumRecord,
@@ -79,24 +79,19 @@ def _cover_check(q: TypeAQuiver, m: RepClass, n: RepClass, e: tuple[int, ...]) -
 def saturated_chain(q: TypeAQuiver, m: RepClass, n: RepClass) -> tuple[RepClass, ...]:
     """A chain m = C0 < C1 < ... < Ck = n of covers, chosen greedily.
 
-    At each step the first cover-successor (in canonical node order) still
-    below n is taken.
+    At each step the first cover of the current class (local_covers, in
+    canonical node order) still below n is taken; no poset is built.
     """
     if m.dim(q.n) != n.dim(q.n):
         raise ValueError("classes have different dimension vectors")
     if not hom_leq(q, m, n):
         raise ValueError(f"{m} does not degenerate to {n}")
-    poset = degeneration_poset(q, m.dim(q.n))
-    target = poset.index(n)
-    below_n = sum(1 << j for j, row in enumerate(poset.up) if row >> target & 1)
     chain = [m]
-    current = poset.index(m)
-    while current != target:
-        steps = poset.succ[current] & below_n
-        if not steps:
-            raise ValueError(f"no saturated chain from {poset.nodes[current]} to {n}")
-        current = (steps & -steps).bit_length() - 1
-        chain.append(poset.nodes[current])
+    while chain[-1] != n:
+        step = next((c for c in local_covers(q, chain[-1]) if hom_leq(q, c, n)), None)
+        if step is None:
+            raise ValueError(f"no saturated chain from {chain[-1]} to {n}")
+        chain.append(step)
     return tuple(chain)
 
 

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass import cli, specialize
+from quivergrass import cli, grass, specialize
 from quivergrass.cli import UsageError, _poly_json, main, parse_quiver, parse_rep, parse_vec
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver
 
@@ -429,6 +429,22 @@ def test_cli_pbw_internal_check(monkeypatch, capsys):
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "internal-check" and "does not degenerate" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "m, n, links", [("[1,3]", "[1,1],[2,2],[3,3]", 2), ("[1,3]", "[1,3]", 0)]
+)
+def test_cli_strata_refuses_non_cover_before_any_table(monkeypatch, capsys, m, n, links):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Betti or strata table was built before the cover check")
+
+    for module in (grass, specialize):
+        monkeypatch.setattr(module, "betti_table", refuse)
+        monkeypatch.setattr(module, "strata_table", refuse)
+    code, out, err = run_cli(capsys, "strata", "--quiver", "A3:FF", "--m", m, "--n", n, "--sub", "1,0,0")
+    assert (code, out) == (2, "")
+    message = f"({m}, {n}) is not a cover; chain has {links} links"
+    assert err == json.dumps({"error": {"type": "usage", "message": message}}) + "\n"
 
 
 def test_cli_help_is_plain_usage(capsys):

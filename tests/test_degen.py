@@ -10,6 +10,7 @@ from quivergrass.degen import (
     boundary_check,
     degeneration_poset,
     hom_leq,
+    local_covers,
 )
 from quivergrass.homalg import ext_dim, hom_basis, hom_dim_classes, hom_vector, subquotient_class
 from quivergrass.quiver import (
@@ -91,6 +92,14 @@ def reference_poset(q, d):
     return nodes, leq, covers
 
 
+def _covers_by_node(nodes, covers):
+    """The upper ends of the covers of each node, in the order covers lists them."""
+    by_node = {m: [] for m in nodes}
+    for m, n in covers:
+        by_node[m].append(n)
+    return {m: tuple(ns) for m, ns in by_node.items()}
+
+
 def test_poset_matches_reference_rule():
     for q in all_quivers(4):
         for d in vec_boxes(tuple([2] * q.n)):
@@ -99,9 +108,9 @@ def test_poset_matches_reference_rule():
             assert poset.nodes == nodes
             assert poset.covers == covers
             assert poset.leq == leq
-            for m in nodes:
-                for n in nodes:
-                    assert poset.is_cover(m, n) == ((m, n) in covers)
+            # the chain route (local moves) gives the same covers in the same order
+            for m, ns in _covers_by_node(nodes, covers).items():
+                assert local_covers(q, m) == ns, (q.label(), d, str(m))
 
 
 @pytest.mark.parametrize(
@@ -114,15 +123,28 @@ def test_poset_matches_reference_rule():
 def test_poset_pinned_sizes(q, d, nodes, covers):
     poset = degeneration_poset(q, d)
     assert (len(poset.nodes), len(poset.covers)) == (nodes, covers)
+    for m, ns in _covers_by_node(poset.nodes, poset.covers).items():
+        assert local_covers(q, m) == ns, str(m)
 
 
-def test_poset_index_rejects_foreign_class():
+def test_local_covers_reject_foreign_class():
+    # [1,1] has dimension (1, 0): no node of the (1, 1) poset, so it neither
+    # covers [1,2] nor is covered by it
     poset = degeneration_poset(A2, (1, 1))
-    with pytest.raises(ValueError, match="no summand decomposition"):
-        poset.index(cls((1, 1)))
-    assert not poset.is_cover(cls((1, 1)), cls((1, 2)))
-    assert not poset.is_cover(cls((1, 2)), cls((1, 1)))
-    assert poset.is_cover(cls((1, 2)), cls((1, 1), (2, 2)))
+    assert cls((1, 1)) not in poset.nodes
+    assert local_covers(A2, cls((1, 1))) == ()
+    assert cls((1, 1)) not in local_covers(A2, cls((1, 2)))
+    for m, n in [(cls((1, 1)), cls((1, 2))), (cls((1, 2)), cls((1, 1)))]:
+        with pytest.raises(ValueError, match="is not a cover of the degeneration poset"):
+            bongartz_data(A2, m, n)
+    assert local_covers(A2, cls((1, 2))) == (cls((1, 1), (2, 2)),)
+    assert poset.covers == ((cls((1, 2)), cls((1, 1), (2, 2))),)
+
+
+def test_local_covers_check_raises(monkeypatch):
+    monkeypatch.setattr(degen, "hom_vector", lambda q, m: (0,))
+    with pytest.raises(InternalCheckError, match="not a strict degeneration"):
+        local_covers.__wrapped__(A2, cls((1, 2)))
 
 
 def test_poset_checks_raise(monkeypatch):
@@ -195,8 +217,11 @@ def test_interval_map_parts_match_explicit_maps():
 
 
 def test_bongartz_rejects_non_cover():
-    with pytest.raises(ValueError, match="not a cover"):
+    message = "is not a cover of the degeneration poset"
+    with pytest.raises(ValueError, match=message):
         bongartz_data(A3, cls((1, 3)), cls((1, 1), (2, 2), (3, 3)))
+    with pytest.raises(ValueError, match=message):
+        bongartz_data(A3, cls((1, 3)), cls((1, 2), (3, 3), (3, 3)))
 
 
 def test_boundary_check_catches_swapped_split():

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from quivergrass import specialize
-from quivergrass.degen import degeneration_poset, hom_leq
+from quivergrass import cli, degen, specialize
+from quivergrass.degen import bongartz_data, degeneration_poset, hom_leq, local_covers
 from quivergrass.grass import PoincarePoly, betti_recursion
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver, vec_boxes
 from quivergrass.specialize import (
@@ -106,7 +106,11 @@ def test_saturated_chain_is_saturated():
     poset = degeneration_poset(A3, (1, 1, 1))
     assert len(chain) == 3
     for a, b in zip(chain, chain[1:]):
-        assert poset.is_cover(a, b)
+        assert (a, b) in poset.covers
+        assert b in local_covers(A3, a)
+        bongartz_data(A3, a, b)
+    with pytest.raises(ValueError, match="is not a cover of the degeneration poset"):
+        bongartz_data(A3, chain[0], chain[2])
 
 
 def test_saturated_chain_takes_first_cover_below_target():
@@ -254,3 +258,51 @@ def test_pbw_pinned_kernel():
     assert report.kernel == poly(0, 0, 1)
     assert report.monotone and report.identity_ok
     assert betti_recursion(A2, rep, e) - betti_recursion(A2, flag, e) == poly(0, 0, 1)
+
+
+# (chain links, kernel coefficients) of pbw --n 5 for every tuple, as the
+# global-poset route (the whole A5:FFFF 6^5 poset, 27 027 classes) gave them
+PBW5_KERNELS = {
+    (1,): (1, [0, 0, 1, 4, 10, 19, 29, 37, 40, 37, 29, 19, 10, 4, 1]),
+    (2,): (1, [0, 0, 1, 5, 14, 28, 44, 57, 62, 57, 44, 28, 14, 5, 1]),
+    (3,): (1, [0, 0, 1, 5, 14, 28, 44, 57, 62, 57, 44, 28, 14, 5, 1]),
+    (4,): (1, [0, 0, 1, 4, 10, 19, 29, 37, 40, 37, 29, 19, 10, 4, 1]),
+    (1, 2): (3, [0, 0, 2, 9, 25, 51, 83, 112, 127, 122, 98, 65, 34, 13, 3]),
+    (1, 3): (3, [0, 0, 2, 9, 25, 51, 83, 112, 127, 121, 96, 62, 31, 11, 2]),
+    (1, 4): (3, [0, 0, 2, 8, 21, 41, 65, 86, 96, 91, 72, 47, 24, 9, 2]),
+    (2, 3): (3, [0, 0, 2, 10, 29, 61, 102, 141, 163, 158, 127, 83, 42, 15, 3]),
+    (2, 4): (3, [0, 0, 2, 9, 25, 51, 83, 112, 127, 121, 96, 62, 31, 11, 2]),
+    (3, 4): (3, [0, 0, 2, 9, 25, 51, 83, 112, 127, 122, 98, 65, 34, 13, 3]),
+    (1, 2, 3): (6, [0, 0, 3, 14, 41, 88, 152, 218, 263, 267, 225, 154, 81, 30, 6]),
+    (1, 2, 4): (6, [0, 0, 3, 13, 37, 77, 130, 182, 215, 214, 177, 119, 61, 22, 4]),
+    (1, 3, 4): (6, [0, 0, 3, 13, 37, 77, 130, 182, 215, 214, 177, 119, 61, 22, 4]),
+    (2, 3, 4): (6, [0, 0, 3, 14, 41, 88, 152, 218, 263, 267, 225, 154, 81, 30, 6]),
+    (1, 2, 3, 4): (10, [0, 0, 4, 18, 54, 118, 211, 313, 394, 418, 370, 266, 146, 56, 10]),
+}
+
+
+def test_pbw_n5_kernels_pinned():
+    q = TypeAQuiver(5, "FFFF")
+    flag = RepClass.from_pairs([(Interval(1, 5), 6)])
+    for i_tuple, (links, kernel) in PBW5_KERNELS.items():
+        rep, _, e = pbw_rep(5, i_tuple)
+        report = check_degeneration(q, flag, rep, e)
+        assert (len(report.chain), list(report.kernel.coeffs)) == (links, kernel), i_tuple
+        assert report.monotone and report.identity_ok
+
+
+def test_chain_route_builds_no_poset(monkeypatch, capsys):
+    def refuse(q, d):
+        raise AssertionError("a whole degeneration poset was built for one chain")
+
+    for module in (degen, specialize, cli):
+        monkeypatch.setattr(module, "degeneration_poset", refuse)
+    # cached covers and decompositions would hide a poset built inside them
+    local_covers.cache_clear()
+    bongartz_data.cache_clear()
+    report = check_degeneration(A3, cls((1, 3)), cls((1, 1), (2, 2), (3, 3)), (1, 1, 0))
+    assert len(report.chain) == 2 and report.monotone and report.identity_ok
+    assert cli.main(["pbw", "--n", "4", "--i", "1,2,3"]) == 0
+    argv = ["strata", "--quiver", "A3:FF", "--m", "[1,2],[3,3]", "--n", "[1,1],[2,2],[3,3]", "--sub", "1,1,0"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
