@@ -5,12 +5,9 @@ as the Hom order: m <= n iff [U, m] <= [U, n] for every interval U.  Every
 minimal degeneration (cover) is a Bongartz move: a non-split extension
 0 -> x1 -> Y1 -> s1 -> 0 of intervals with Ext^1(s1, x1) = 1 and Y1 a
 sub-multiset of m, swapped for x1 + s1.  local_covers lists the covers of
-one class from these moves alone; it is the route of saturated chains and
-of the cover test in bongartz_data, so one chain never builds a poset.
-degeneration_poset builds the whole poset, the route of whole sweeps: one
-bitset row per class (its up-set) from one threshold mask per interval and
-Hom count, and the covers as the strict up-set of m minus everything
-strictly above a member of it.  Every cover decomposes as
+one class from these moves alone; it is the one cover route, shared by
+whole posets (degeneration_poset lists the local covers of every class) and
+saturated chains (which never build a poset).  Every cover decomposes as
 m = Y1 + common, n = x1 + s1 + common, and common splits as X' + S', S' the
 least Ext-closed side, so that 0 -> x1 + X' -> m -> s1 + S' -> 0 generates
 its Ext space; the boundary classes cut out the subspace pairs that fail to
@@ -55,80 +52,45 @@ def hom_leq(q: TypeAQuiver, m: RepClass, n: RepClass) -> bool:
     """Hom order: every interval sees at most as many maps into m as into n."""
     if m.dim(q.n) != n.dim(q.n):
         raise ValueError("classes have different dimension vectors")
-    return all(a <= b for a, b in zip(hom_vector(q, m), hom_vector(q, n)))
+    return vec_leq(hom_vector(q, m), hom_vector(q, n))
 
 
 @dataclass(frozen=True)
 class DegenPoset:
-    """Classes of dimension d under the Hom order, as bitset rows.
+    """Classes of dimension d under the Hom order, with their cover edges.
 
-    Bit j of up[i] is set iff nodes[i] <= nodes[j].  covers lists the cover
-    edges as pairs, i-major with j ascending.
+    covers lists the edges (m, n), m in node order and the covers of each m
+    as local_covers gives them (sorted by pairs, the node order).
     """
 
     quiver: TypeAQuiver
     d: tuple[int, ...]
     nodes: tuple[RepClass, ...]
-    up: tuple[int, ...]
     covers: tuple[tuple[RepClass, RepClass], ...]
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """leq[i][j] iff nodes[i] <= nodes[j]; built on first read."""
-        size = len(self.nodes)
-        return tuple(tuple(bool(row >> j & 1) for j in range(size)) for row in self.up)
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        """leq[i][j] iff nodes[i] <= nodes[j]; built on first read from the Hom vectors."""
+        vectors = [hom_vector(self.quiver, m) for m in self.nodes]
+        return tuple(tuple(vec_leq(u, v) for v in vectors) for u in vectors)
 
 
 @cache
 def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
     """All classes of dimension d ordered by degeneration, with cover edges.
 
-    For each interval coordinate u and each Hom count t met there, ge[u][t]
-    is the set of nodes whose Hom count at u is at least t; the up-set of
-    node i is the intersection over u of ge[u][hv_i[u]].  The covers of i are its strict up-set minus
-    everything strictly above one of its members.
+    The covers are the local_covers of every node.  Distinct classes must
+    have distinct Hom vectors (the order is antisymmetric), and the
+    semisimple class must be the only node with no cover: a finite poset
+    with a unique maximal element has it as its maximum.
     """
     nodes = enumerate_rep_classes(q, d)
-    vectors = [hom_vector(q, m) for m in nodes]
-    if len(set(vectors)) != len(vectors):
+    if len({hom_vector(q, m) for m in nodes}) != len(nodes):
         raise InternalCheckError("distinct classes share Hom counts; order is not antisymmetric")
-    size = len(nodes)
-    full = (1 << size) - 1
-    up = [full] * size
-    for column in zip(*vectors):
-        ge = dict.fromkeys(sorted(set(column), reverse=True), 0)
-        for j, t in enumerate(column):
-            ge[t] |= 1 << j
-        above = 0
-        for t in ge:
-            above |= ge[t]
-            ge[t] = above
-        for i, t in enumerate(column):
-            up[i] &= ge[t]
-    strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    covers = []
-    for i in range(size):
-        above = 0
-        for j in _bits(strict[i]):
-            above |= strict[j]
-        covers.extend((nodes[i], nodes[j]) for j in _bits(strict[i] & ~above))
-    if size:
-        top = full
-        for row in up:
-            top &= row
-        if top.bit_count() != 1 or nodes[top.bit_length() - 1] != semisimple_class(q, d):
-            raise InternalCheckError("semisimple class is not the unique maximum")
-    return DegenPoset(q, d, nodes, tuple(up), tuple(covers))
+    covers = tuple((m, n) for m in nodes for n in local_covers(q, m))
+    if nodes and [m for m in nodes if not local_covers(q, m)] != [semisimple_class(q, d)]:
+        raise InternalCheckError("semisimple class is not the unique maximum")
+    return DegenPoset(q, d, nodes, covers)
 
 
 @cache
@@ -156,16 +118,17 @@ def local_covers(q: TypeAQuiver, m: RepClass) -> tuple[RepClass, ...]:
     """
     base = hom_vector(q, m)
     have = dict(m.pairs)
-    moves: dict[RepClass, tuple[int, ...]] = {}
+    moves: dict[RepClass, tuple[int, tuple[int, ...]]] = {}
     for middle, split in _moves(q):
         if all(have.get(u, 0) >= k for u, k in middle.pairs):
             n = m.difference(middle).union(split)
             hv = hom_vector(q, n)
-            if hv == base or not all(a <= b for a, b in zip(base, hv)):
+            if hv == base or not vec_leq(base, hv):
                 raise InternalCheckError(f"move {m} -> {n} is not a strict degeneration")
-            moves[n] = hv
-    below = lambda u, v: u != v and all(a <= b for a, b in zip(u, v))
-    covers = (n for n, hv in moves.items() if not any(below(other, hv) for other in moves.values()))
+            moves[n] = (sum(hv), hv)
+    # strictly below in the Hom order: below coordinatewise with a smaller total
+    below = lambda u, v: u[0] < v[0] and vec_leq(u[1], v[1])
+    covers = (n for n, key in moves.items() if not any(below(other, key) for other in moves.values()))
     return tuple(sorted(covers, key=lambda n: n.pairs))
 
 

@@ -32,6 +32,7 @@ from .quiver import (
     injective_intervals,
     intervals_of,
     projective_intervals,
+    vec_leq,
 )
 
 
@@ -349,8 +350,6 @@ def middle_term(q: TypeAQuiver, x1: Interval, s1: Interval) -> RepClass:
         pairs.append((Interval(lo, hi), 1))
     middle = RepClass.from_pairs(pairs)
     split = cls_x1.union(cls_s1)
-    if middle == split or not all(
-        a <= b for a, b in zip(hom_vector(q, middle), hom_vector(q, split))
-    ):
+    if middle == split or not vec_leq(hom_vector(q, middle), hom_vector(q, split)):
         raise InternalCheckError(f"{middle} is not a non-split middle term for ({x1}, {s1})")
     return middle

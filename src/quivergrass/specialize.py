@@ -145,13 +145,17 @@ def verify_theorem(
     implementation, so the summary reports them for inspection.  The covers
     run in a process pool of min(jobs, covers, CPUs) workers when that is
     more than one; jobs below 1 is a ValueError.  A rough
-    work estimate is compared against the budget first; raise it explicitly
-    for larger-than-desk-scale sweeps.
+    work estimate (the poset, the covers and nodes at every e, and the
+    Gaussian binomials of the bounds) is compared against the budget first;
+    raise it explicitly for larger-than-desk-scale sweeps.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     poset = degeneration_poset(q, d)
-    work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * math.prod(x + 1 for x in d)
+    # the bounds fill the q-binomial memo: per vertex about (d_v + 1)^2
+    # entries of up to d_v^2 // 4 + 1 coefficients
+    binomials = sum((x + 1) ** 2 * (x * x // 4 + 1) for x in d)
+    work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * math.prod(x + 1 for x in d) + binomials
     if work > budget:
         raise ValueError(f"estimated sweep size {work} exceeds budget {budget}")
     es = vec_boxes(d)

@@ -312,12 +312,14 @@ def test_cli_poset_huge_dimension_is_one_node(capsys):
 
 
 def test_cli_verify_huge_dimension_is_refused_first(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--quiver", "A1", "--dim", HUGE, "--jobs", "1")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "value" and "exceeds budget" in error["message"]
+    # A1 1000 is one node, but its Gaussian-binomial bounds are not small
+    for quiver, dim in [("A1", HUGE), ("A1", "1000"), ("A2:F", "3000,3000")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--quiver", quiver, "--dim", dim, "--jobs", "1")
+        assert time.perf_counter() - start < 1.0, (quiver, dim)
+        assert code == 2 and out == "", (quiver, dim)
+        error = json.loads(err)["error"]
+        assert error["type"] == "value" and "exceeds budget" in error["message"]
 
 
 # one valid small template per subcommand: (flag, kind, value) after the name
