@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 from functools import cache
@@ -26,6 +27,10 @@ from .specialize import (
     saturated_chain,
     verify_theorem,
 )
+
+
+# strata prints two records per split f + g = e, f <= e: at most this many splits
+STRATA_SPLIT_BUDGET = 100_000
 
 
 class UsageError(ValueError):
@@ -232,6 +237,9 @@ def cmd_strata(args) -> int:
     m = parse_rep(args.m, q)
     n = parse_rep(args.n, q)
     e = parse_vec(args.sub, q.n)
+    splits = math.prod(x + 1 for x in e)
+    if splits > STRATA_SPLIT_BUDGET:
+        raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
     links = len(saturated_chain(q, m, n)) - 1
     if links != 1:
         raise UsageError(f"({m}, {n}) is not a cover; chain has {links} links")

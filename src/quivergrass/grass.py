@@ -28,11 +28,12 @@ subspaces by their intersection with X = x1 + x_rest and by whether the
 induced extension class vanishes (i = 0) or not (i = 1) partitions the
 Grassmannian of n, the i = 0 part alone accounting for m.  Only the splits
 f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
-support pairs are computed; every other split is a zero record.  The i = 1
-sums at every e <= dim m at once (strata_kernel_table) walk each support
-pair once, reading the Betti numbers of the four classes from their full
-Betti tables; a single e (strata_table) reads them from one table each over
-the support box of e.  Both routes apply one per-pair rule (_stratum_rule).
+support pairs are computed; every other split is a zero record.  One walk
+(_strata_terms) visits the support pairs with f + g in a box, reading the
+Betti numbers of the four classes from one Betti table each and applying
+one per-pair rule (_stratum_rule).  A single e (strata_table) walks the box
+[e, e]; the i = 1 sums at every e <= dim m at once (strata_kernel_table)
+walk the whole box.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from types import MappingProxyType
 
 from .degen import BongartzData, boundary_check
@@ -70,10 +71,12 @@ class PoincarePoly:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PoincarePoly":
-        data = list(coeffs)
-        while data and data[-1] == 0:
-            data.pop()
-        return cls(tuple(int(c) for c in data))
+        """The polynomial with these int coefficients, trailing zeros trimmed."""
+        data = tuple(coeffs)
+        end = len(data)
+        while end and not data[end - 1]:
+            end -= 1
+        return cls(data[:end])
 
     @classmethod
     def zero(cls) -> "PoincarePoly":
@@ -86,16 +89,16 @@ class PoincarePoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "PoincarePoly") -> "PoincarePoly":
+    def _padded(self, other: "PoincarePoly") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both coefficient tuples, the shorter padded with zeros to the longer."""
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return PoincarePoly.from_coeffs(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
+
+    def __add__(self, other: "PoincarePoly") -> "PoincarePoly":
+        return PoincarePoly.from_coeffs(map(add, *self._padded(other)))
 
     def __sub__(self, other: "PoincarePoly") -> "PoincarePoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        get = lambda t, i: t[i] if i < len(t) else 0
-        return PoincarePoly.from_coeffs(tuple(get(self.coeffs, i) - get(other.coeffs, i) for i in range(size)))
+        return PoincarePoly.from_coeffs(map(sub, *self._padded(other)))
 
     def __mul__(self, other: "PoincarePoly") -> "PoincarePoly":
         if not self or not other:
@@ -123,9 +126,7 @@ class PoincarePoly:
 
     def leq(self, other: "PoincarePoly") -> bool:
         """Coefficientwise comparison."""
-        size = max(len(self.coeffs), len(other.coeffs))
-        get = lambda t, i: t[i] if i < len(t) else 0
-        return all(get(self.coeffs, i) <= get(other.coeffs, i) for i in range(size))
+        return all(map(le, *self._padded(other)))
 
     def is_nonneg(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -586,34 +587,44 @@ def _stratum_rule(q: TypeAQuiver, dim_x: tuple[int, ...], f, g, product: Poincar
     return base0, shift0, base1, shift1
 
 
-def _strata_terms(bd: BongartzData, e: tuple[int, ...]):
-    """Terms (f, g, base0, shift0, base1, shift1) of the support pairs f + g = e.
+def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
+    """Terms (f, g, base0, shift0, base1, shift1) of the support pairs with lo <= f + g <= hi.
 
-    The support is max(0, e - dim S) <= f <= min(e, dim X), in lexicographic
-    f order.  Outside it P(X, f) P(S, g) is 0, and so is the i = 1 base:
-    x_ker is a subrepresentation of X and s_im + s_quot has the dimension of
-    S.  The Betti numbers of X and x_ker are read from one table each over
-    the support box of f, those of S and of s_quot (at g - dim s_im) from one
-    table each over the matching box of g; the tables read 0 wherever f
-    exceeds x_ker or g - dim s_im leaves s_quot.  The caller runs
-    boundary_check.
+    The support pairs are f <= dim X, g <= dim S, walked in lexicographic
+    (f, g) order.  Outside them P(X, f) P(S, g) is 0, and so is the i = 1
+    base: x_ker is a subrepresentation of X and s_im + s_quot has the
+    dimension of S.  Each class is read from one Betti table over the part
+    of the box it can reach, clamped to 0 <= . <= its dimension: X and x_ker
+    at f, S at g, s_quot at g - dim s_im; a missing entry reads 0.  On the
+    box [0, dim m] these are the full tables.  boundary_check runs once, at
+    the start of the walk.
     """
     q = bd.quiver
-    if len(e) != q.n:
+    if len(lo) != q.n or len(hi) != q.n:
         raise ValueError("dimension vector length mismatch")
+    boundary_check(bd)
     x_class, s_class = bd.x_class, bd.s_class
     dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
-    f_lo = tuple(max(0, a - s) for a, s in zip(e, dim_s))
-    f_hi = tuple(min(a, x) for a, x in zip(e, dim_x))
-    g_lo, g_hi = tuple(map(sub, e, f_hi)), tuple(map(sub, e, f_lo))
-    p_x, p_ker = (betti_table(q, c, f_lo, f_hi) for c in (x_class, bd.x_ker))
-    p_s = betti_table(q, s_class, g_lo, g_hi)
-    p_quot = betti_table(q, bd.s_quot, tuple(map(sub, g_lo, s_vec)), tuple(map(sub, g_hi, s_vec)))
+
+    def table(c: RepClass, a, b) -> Mapping[tuple[int, ...], PoincarePoly]:
+        a, b = tuple(max(0, x) for x in a), tuple(map(min, b, c.dim(q.n)))
+        return betti_table(q, c, a, b) if vec_leq(a, b) else {}
+
+    f_lo, f_hi = tuple(max(0, a - s) for a, s in zip(lo, dim_s)), tuple(map(min, hi, dim_x))
+    g_lo, g_hi = tuple(max(0, a - x) for a, x in zip(lo, dim_x)), tuple(map(min, hi, dim_s))
+    p_x, p_ker = table(x_class, f_lo, f_hi), table(bd.x_ker, f_lo, f_hi)
+    p_quot = table(bd.s_quot, tuple(map(sub, g_lo, s_vec)), tuple(map(sub, g_hi, s_vec)))
+    p_s = table(s_class, g_lo, g_hi)
+    zero = PoincarePoly.zero()
+    # P(S, g) with the s_quot factor at g - dim s_im, looked up once per g
+    s_terms = {g: (pg, p_quot.get(tuple(map(sub, g, s_vec)), zero)) for g, pg in p_s.items()}
     for f, pf in p_x.items():
-        g = vec_sub(e, f)
-        base1 = p_ker[f] * p_quot[tuple(map(sub, g, s_vec))]
-        yield (f, g) + _stratum_rule(q, dim_x, f, g, pf * p_s[g], base1)
+        ker_f = p_ker.get(f, zero)
+        g_box = (range(max(a, c - x), min(b, d - x) + 1) for a, b, c, d, x in zip(g_lo, g_hi, lo, hi, f))
+        for g in itertools.product(*g_box):
+            pg, quot_g = s_terms[g]
+            yield (f, g) + _stratum_rule(q, dim_x, f, g, pf * pg, ker_f * quot_g)
 
 
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
@@ -622,12 +633,11 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     For every split f + g = e: the i = 1 stratum sits over
     Gr_f(x_ker) x Gr_{g - dim s_im}(s_quot) with an affine shift one higher
     than the Euler pairing; the i = 0 stratum covers the complement in
-    Gr_f(X) x Gr_g(S).  Only the support pairs (_strata_terms) are computed;
-    every other split gets two zero records.  Zero strata are emitted with
-    shift normalized to 0.
+    Gr_f(X) x Gr_g(S).  The support pairs come from the strata walk
+    (_strata_terms) over the box [e, e]; every other split gets two zero
+    records.  Zero strata are emitted with shift normalized to 0.
     """
-    boundary_check(bd)
-    terms = {term[0]: term for term in _strata_terms(bd, e)}
+    terms = {term[0]: term for term in _strata_terms(bd, e, e)}
     zero = PoincarePoly.zero()
     records = []
     for f in itertools.product(*(range(x + 1) for x in e)):
@@ -645,31 +655,18 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
 def strata_kernel_table(bd: BongartzData) -> dict[tuple[int, ...], PoincarePoly]:
     """The i = 1 sum of the strata table of bd at every e <= dim m, keyed by e.
 
-    Entry e equals strata_sum(strata_table(bd, e), 1).  Each support pair
-    f <= dim X, g <= dim S is visited once, under the rule of strata_table,
-    and adds its i = 1 term to e = f + g.  P(X, f), P(S, g) and the i = 1
-    base factors are read from the full Betti tables (betti_table) of X, S,
-    x_ker and s_quot; outside its box a table reads 0, as the recursion
-    would.
+    Entry e equals strata_sum(strata_table(bd, e), 1): the strata walk
+    (_strata_terms) over the whole box [0, dim m] visits each support pair
+    once, and its i = 1 term is added to e = f + g.
     """
-    boundary_check(bd)
     q = bd.quiver
-    x_class, s_class = bd.x_class, bd.s_class
-    dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
-    s_vec = bd.s_im.dim(q.n)
-    p_x, p_s, p_ker, p_quot = (betti_table(q, c) for c in (x_class, s_class, bd.x_ker, bd.s_quot))
+    d = tuple(map(add, bd.x_class.dim(q.n), bd.s_class.dim(q.n)))
     zero = PoincarePoly.zero()
-    # the s_quot factor of g, at g - dim s_im; a negative entry is off the box
-    quot_of = {g: p_quot.get(tuple(x - y for x, y in zip(g, s_vec)), zero) for g in p_s}
-    kernels = dict.fromkeys(vec_boxes(tuple(x + s for x, s in zip(dim_x, dim_s))), zero)
-    for f, pf in p_x.items():
-        ker_f = p_ker.get(f, zero)
-        for g, pg in p_s.items():
-            base1 = ker_f * quot_of[g]
-            _, _, base1, shift1 = _stratum_rule(q, dim_x, f, g, pf * pg, base1)
-            if base1:
-                e = tuple(x + y for x, y in zip(f, g))
-                kernels[e] = kernels[e] + base1.shift(shift1)
+    kernels = dict.fromkeys(vec_boxes(d), zero)
+    for f, g, _, _, base1, shift1 in _strata_terms(bd, (0,) * q.n, d):
+        if base1:
+            e = tuple(map(add, f, g))
+            kernels[e] = kernels[e] + base1.shift(shift1)
     return kernels
 
 

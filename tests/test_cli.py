@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -234,6 +235,33 @@ def test_cli_pbw_pinned(capsys):
     assert payload["monotone"] and payload["identity_ok"]
 
 
+STRATA_A2 = ("strata", "--quiver", "A2:F", "--m", "[1,2]", "--n", "[1,1],[2,2]")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("pbw", "--n", "4", "--i", "1,2,3"), "7a80cdaa819d0b91f86a36e3b21d6b28c2a6d8eb90767d20029a14e7dbe0be52"),
+        (
+            (
+                "strata", "--quiver", "A4:FBF", "--m", "[1,1],[1,2],[2,2],[3,3],[3,4],[4,4]",
+                "--n", "[1,1],[1,2],[2,2],[3,3]x2,[4,4]x2", "--sub", "1,1,1,1",
+            ),
+            "f26bf624f10d44432f1997caff4cc1e00c9f5bad9c18c300ad322d62ea43c341",
+        ),
+        (
+            STRATA_A2 + ("--sub", "10,10"),
+            "081c11ebbfdac2ccf2b990f71b10ccafec59d13724efe4d6777cb4f109e16bac",
+        ),
+    ],
+    ids=["pbw-4-123", "strata-A4:FBF-1111", "strata-A2:F-10,10"],
+)
+def test_cli_stdout_bytes_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, "poset", "--quiver", "A3:FFF", "--dim", "1,1,1")
     assert code == 2
@@ -302,6 +330,24 @@ def test_cli_betti_oracle_budget_charges_interpolation(capsys, quiver, rep, sub)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "value" and "exceeds budget" in error["message"]
+
+
+@pytest.mark.parametrize("sub, splits", [("1000,1000", 1_002_001), (f"{HUGE},0", 10**20)], ids=["1000,1000", "huge,0"])
+def test_cli_strata_refuses_too_many_splits_first(capsys, sub, splits):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *STRATA_A2, "--sub", sub)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "value" and f"split count {splits} exceeds budget" in error["message"]
+
+
+def test_cli_strata_split_budget_is_inclusive(monkeypatch, capsys):
+    # --sub 10,10 has 11 * 11 splits f <= e
+    monkeypatch.setattr(cli, "STRATA_SPLIT_BUDGET", 121)
+    assert run_cli(capsys, *STRATA_A2, "--sub", "10,10")[0] == 0
+    code, out, err = run_cli(capsys, *STRATA_A2, "--sub", "10,11")
+    assert (code, out) == (2, "") and "split count 132 exceeds budget 121" in err
 
 
 def test_cli_poset_huge_dimension_is_one_node(capsys):
