@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from .degen import bongartz_data, degeneration_poset
-from .grass import PoincarePoly, betti_oracle, betti_recursion
+from .grass import STRATA_SPLIT_BUDGET, PoincarePoly, betti_oracle, betti_recursion, strata_table
 from .quiver import InternalCheckError, Interval, RepClass, TypeAQuiver
 from .specialize import (
     VerifySummary,
@@ -27,10 +27,6 @@ from .specialize import (
     saturated_chain,
     verify_theorem,
 )
-
-
-# strata prints two records per split f + g = e, f <= e: at most this many splits
-STRATA_SPLIT_BUDGET = 100_000
 
 
 class UsageError(ValueError):
@@ -244,6 +240,7 @@ def cmd_strata(args) -> int:
     if links != 1:
         raise UsageError(f"({m}, {n}) is not a cover; chain has {links} links")
     (check,) = check_degeneration(q, m, n, e).chain
+    records = strata_table(bongartz_data(q, m, n), e)
     payload = {
         "quiver": q.label(),
         "m": m.text(),
@@ -262,7 +259,7 @@ def cmd_strata(args) -> int:
                 "shift": rec.shift,
                 "base": _poly_json(rec.base_poly),
             }
-            for rec in check.strata
+            for rec in records
         ],
     }
     _emit(payload, args.json)

@@ -31,14 +31,15 @@ f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
 support pairs are computed; every other split is a zero record.  One walk
 (_strata_terms) visits the support pairs with f + g in a box, reading the
 Betti numbers of the four classes from one Betti table each and applying
-one per-pair rule (_stratum_rule).  A single e (strata_table) walks the box
-[e, e]; the i = 1 sums at every e <= dim m at once (strata_kernel_table)
-walk the whole box.
+one per-pair rule (_stratum_rule).  The i = 1 sums over any box
+(strata_kernel_table) serve every cover check; the records of a single e
+(strata_table) walk the box [e, e] and pad the other splits with zeros.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,8 @@ from .quiver import (
 
 MAX_PRIME = 10007
 DEFAULT_ENUM_BUDGET = 5_000_000
+# strata_table emits two records per split f + g = e, f <= e: at most this many splits
+STRATA_SPLIT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -635,8 +638,12 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     than the Euler pairing; the i = 0 stratum covers the complement in
     Gr_f(X) x Gr_g(S).  The support pairs come from the strata walk
     (_strata_terms) over the box [e, e]; every other split gets two zero
-    records.  Zero strata are emitted with shift normalized to 0.
+    records.  Zero strata are emitted with shift normalized to 0.  More than
+    STRATA_SPLIT_BUDGET splits is a ValueError, raised before any table.
     """
+    splits = math.prod(max(0, x + 1) for x in e)
+    if splits > STRATA_SPLIT_BUDGET:
+        raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
     terms = {term[0]: term for term in _strata_terms(bd, e, e)}
     zero = PoincarePoly.zero()
     records = []
@@ -652,18 +659,21 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     return tuple(records)
 
 
-def strata_kernel_table(bd: BongartzData) -> dict[tuple[int, ...], PoincarePoly]:
-    """The i = 1 sum of the strata table of bd at every e <= dim m, keyed by e.
+def strata_kernel_table(bd: BongartzData, lo=None, hi=None) -> dict[tuple[int, ...], PoincarePoly]:
+    """The i = 1 sum of the strata table of bd at every lo <= e <= hi, keyed by e.
 
-    Entry e equals strata_sum(strata_table(bd, e), 1): the strata walk
-    (_strata_terms) over the whole box [0, dim m] visits each support pair
-    once, and its i = 1 term is added to e = f + g.
+    The box defaults to 0 <= e <= dim m; keys run in lexicographic order,
+    zeros included, as in betti_table.  Entry e equals
+    strata_sum(strata_table(bd, e), 1): the strata walk (_strata_terms) over
+    the box visits each support pair once, and its i = 1 term is added to
+    e = f + g.
     """
     q = bd.quiver
-    d = tuple(map(add, bd.x_class.dim(q.n), bd.s_class.dim(q.n)))
+    lo = (0,) * q.n if lo is None else tuple(lo)
+    hi = tuple(map(add, bd.x_class.dim(q.n), bd.s_class.dim(q.n))) if hi is None else tuple(hi)
     zero = PoincarePoly.zero()
-    kernels = dict.fromkeys(vec_boxes(d), zero)
-    for f, g, _, _, base1, shift1 in _strata_terms(bd, (0,) * q.n, d):
+    kernels = dict.fromkeys(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))), zero)
+    for f, g, _, _, base1, shift1 in _strata_terms(bd, lo, hi):
         if base1:
             e = tuple(map(add, f, g))
             kernels[e] = kernels[e] + base1.shift(shift1)

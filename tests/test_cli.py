@@ -242,6 +242,7 @@ STRATA_A2 = ("strata", "--quiver", "A2:F", "--m", "[1,2]", "--n", "[1,1],[2,2]")
     "argv, digest",
     [
         (("pbw", "--n", "4", "--i", "1,2,3"), "7a80cdaa819d0b91f86a36e3b21d6b28c2a6d8eb90767d20029a14e7dbe0be52"),
+        (("pbw", "--n", "5", "--i", "1,2,3,4"), "54077f08c7493e59acf6612575f471766b58ad3f60feeaa79688296f7d23602f"),
         (
             (
                 "strata", "--quiver", "A4:FBF", "--m", "[1,1],[1,2],[2,2],[3,3],[3,4],[4,4]",
@@ -254,7 +255,7 @@ STRATA_A2 = ("strata", "--quiver", "A2:F", "--m", "[1,2]", "--n", "[1,1],[2,2]")
             "081c11ebbfdac2ccf2b990f71b10ccafec59d13724efe4d6777cb4f109e16bac",
         ),
     ],
-    ids=["pbw-4-123", "strata-A4:FBF-1111", "strata-A2:F-10,10"],
+    ids=["pbw-4-123", "pbw-5-1234", "strata-A4:FBF-1111", "strata-A2:F-10,10"],
 )
 def test_cli_stdout_bytes_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
@@ -488,6 +489,8 @@ def test_cli_strata_refuses_non_cover_before_any_table(monkeypatch, capsys, m, n
 
     for module in (grass, specialize):
         monkeypatch.setattr(module, "betti_table", refuse)
+        monkeypatch.setattr(module, "strata_kernel_table", refuse)
+    for module in (grass, cli):
         monkeypatch.setattr(module, "strata_table", refuse)
     code, out, err = run_cli(capsys, "strata", "--quiver", "A3:FF", "--m", m, "--n", n, "--sub", "1,0,0")
     assert (code, out) == (2, "")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -593,6 +594,13 @@ def test_strata_kernel_table_matches_per_e_tables(q, data):
     assert list(kernels) == list(vec_boxes(d))
     for e in vec_boxes(d):
         assert kernels[e] == strata_sum(strata_table(bd, e), 1), (q.label(), str(m), str(n), e)
+    # a box lo <= hi, possibly empty or past 0 <= e <= dim m, reads the
+    # whole-box table there, zeros outside it, in the same key order
+    lo = tuple(data.draw(st.integers(-1, x + 1)) for x in d)
+    hi = tuple(data.draw(st.integers(a - 1, x + 2)) for a, x in zip(lo, d))
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    expected = [(e, kernels.get(e, PoincarePoly.zero())) for e in box]
+    assert list(strata_kernel_table(bd, lo, hi).items()) == expected, (q.label(), str(m), str(n), lo, hi)
     # the walk over a box lo <= hi, possibly past dim m, is the whole-box walk
     # cut down to lo <= f + g <= hi
     lo = tuple(data.draw(st.integers(0, x + 1)) for x in d)
@@ -600,6 +608,18 @@ def test_strata_kernel_table_matches_per_e_tables(q, data):
     whole = list(grass._strata_terms(bd, (0,) * q.n, d))
     inside = [t for t in whole if all(a <= x + y <= b for a, x, y, b in zip(lo, t[0], t[1], hi))]
     assert list(grass._strata_terms(bd, lo, hi)) == inside, (q.label(), str(m), str(n), lo, hi)
+
+
+def test_strata_table_split_budget(monkeypatch):
+    bd = bongartz_data(A2, cls((1, 2)), cls((1, 1), (2, 2)))
+    real_check = grass.boundary_check
+    monkeypatch.setattr(grass, "boundary_check", lambda bd: pytest.fail("boundary_check ran before the budget"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="split count 1002001 exceeds budget"):
+        strata_table(bd, (1000, 1000))
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(grass, "boundary_check", real_check)
+    assert len(strata_table(bd, (10, 10))) == 242
 
 
 def test_strata_negative_complement_raises(monkeypatch):

@@ -1,8 +1,9 @@
 import itertools
+import time
 
 import pytest
 
-from quivergrass import cli, degen, specialize
+from quivergrass import cli, degen, grass, specialize
 from quivergrass.degen import bongartz_data, degeneration_poset, hom_leq, local_covers
 from quivergrass.grass import PoincarePoly, betti_recursion
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver, vec_boxes
@@ -306,3 +307,23 @@ def test_chain_route_builds_no_poset(monkeypatch, capsys):
     argv = ["strata", "--quiver", "A3:FF", "--m", "[1,2],[3,3]", "--n", "[1,1],[2,2],[3,3]", "--sub", "1,1,0"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_chain_route_builds_no_stratum_records(monkeypatch, capsys):
+    def refuse(bd, e):
+        raise AssertionError("stratum records were built for a chain check")
+
+    assert not any(hasattr(specialize, name) for name in ("strata_table", "strata_sum", "StratumRecord"))
+    for module in (grass, cli):
+        monkeypatch.setattr(module, "strata_table", refuse)
+    report = check_degeneration(A3, cls((1, 3)), cls((1, 1), (2, 2), (3, 3)), (1, 1, 0))
+    assert len(report.chain) == 2 and report.monotone and report.identity_ok
+    assert cli.main(["pbw", "--n", "4", "--i", "1,2,3"]) == 0
+    assert capsys.readouterr().err == ""
+    # the cost follows the support pairs, not the size of e
+    for e in ((1000, 1000), (10**20, 0)):
+        start = time.perf_counter()
+        report = check_degeneration(A2, cls((1, 2)), cls((1, 1), (2, 2)), e)
+        assert time.perf_counter() - start < 1.0, e
+        (link,) = report.chain
+        assert not link.kernel and link.monotone and link.identity_ok, e
