@@ -18,10 +18,9 @@ compare it with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
-from .linalg import Mat, column_space, left_nullspace, nullspace, rank, solve
+from .linalg import Entry, Mat, column_space, left_nullspace, nullspace, rank, solve
 from .quiver import (
     ExplicitRep,
     InternalCheckError,
@@ -60,8 +59,7 @@ def _intertwiner_matrix(f: ExplicitRep, g: ExplicitRep) -> tuple[Mat, tuple[int,
     for v in range(q.n):
         offsets.append(total)
         total += g.dims[v] * f.dims[v]
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    rows: list[tuple[Entry, ...]] = []
     for k in range(q.n - 1):
         s, t = q.edge(k)
         a = f.mats[k]
@@ -70,13 +68,15 @@ def _intertwiner_matrix(f: ExplicitRep, g: ExplicitRep) -> tuple[Mat, tuple[int,
         gs, gt = g.dims[s - 1], g.dims[t - 1]
         for i in range(gt):
             for j in range(fs):
-                row = [zero] * total
+                # each unknown appears once per equation, so the entries keep
+                # the normal form of the entries of a and b
+                row = [0] * total
                 for m in range(gs):
-                    row[offsets[s - 1] + m * fs + j] += b.rows[i][m]
+                    row[offsets[s - 1] + m * fs + j] = b.rows[i][m]
                 for m in range(ft):
-                    row[offsets[t - 1] + i * ft + m] -= a.rows[m][j]
-                rows.append(row)
-    return Mat.from_rows(rows, ncols=total), tuple(offsets)
+                    row[offsets[t - 1] + i * ft + m] = -a.rows[m][j]
+                rows.append(tuple(row))
+    return Mat(len(rows), total, tuple(rows)), tuple(offsets)
 
 
 def hom_dim(f: ExplicitRep, g: ExplicitRep) -> int:
@@ -192,7 +192,7 @@ def _neg(m: Mat) -> Mat:
     return Mat(m.nrows, m.ncols, tuple(tuple(-x for x in row) for row in m.rows))
 
 
-def _as_interval(vec: tuple[Fraction, ...]) -> Interval | None:
+def _as_interval(vec: tuple[Entry, ...]) -> Interval | None:
     """The interval whose indicator is vec, or None if vec is not one."""
     values = []
     for x in vec:

@@ -1,35 +1,44 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices with Fraction entries; everything here is deterministic
-and exact.  Floats are rejected at construction.
+Small dense matrices whose entries are in one normal form: an int when the
+value is integral and a Fraction otherwise.  Floats and other non-rational
+types are rejected at construction.  Elimination is fraction-free: it runs
+on integer rows (each row scaled by the lcm of its denominators, which keeps
+its row space) and divides only exactly, so a Fraction is built only where
+an answer is non-integral.  Everything here is deterministic and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+Entry = int | Fraction
 
 
 class InconsistentSystemError(ValueError):
     """Raised when an exact linear system has no solution."""
 
 
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _coerce(x) -> Entry:
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"exact entry required (int or Fraction), got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable exact matrix; rows is a tuple of row tuples."""
+    """Immutable exact matrix; rows is a tuple of row tuples of normal-form entries."""
 
     nrows: int
     ncols: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Entry, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ncols: int | None = None) -> "Mat":
@@ -47,12 +56,11 @@ class Mat:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Mat":
-        zero = Fraction(0)
-        return cls(nrows, ncols, tuple((zero,) * ncols for _ in range(nrows)))
+        return cls(nrows, ncols, tuple((0,) * ncols for _ in range(nrows)))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -61,7 +69,7 @@ class Mat:
         if other.nrows == 0:
             return Mat.zeros(self.nrows, other.ncols)
         out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
+            tuple(_coerce(sum(a * b for a, b in zip(row, col))) for col in cols) for row in self.rows
         )
         return Mat(self.nrows, other.ncols, out)
 
@@ -76,38 +84,64 @@ class Mat:
         return Mat(self.nrows, self.ncols + other.ncols,
                    tuple(a + b for a, b in zip(self.rows, other.rows)))
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
+    def col(self, j: int) -> tuple[Entry, ...]:
         return tuple(row[j] for row in self.rows)
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(x) for x in row) + "]" for row in self.rows)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in m.rows]
+def _eliminate(m: Mat, full: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of m: (the rank many nonzero rows, pivot columns).
+
+    Each row is first scaled by the lcm of its denominators.  A row is
+    cleared against the pivot row by a*row - b*pivot_row with a/b = p/f in
+    lowest terms (p the pivot, f the row's entry), then divided exactly by
+    the gcd of its entries.  Rows below each pivot are cleared; with full,
+    the rows above it too, so that row k is its reduced row times the
+    pivot in column pivots[k].
+    """
+    rows = []
+    for row in m.rows:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(rows)
     pivots: list[int] = []
-    r = 0
     for c in range(m.ncols):
-        pivot_row = next((i for i in range(r, m.nrows) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m.nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = new if g <= 1 else [x // g for x in new]
         pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
-    return Mat(m.nrows, m.ncols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return rows[:len(pivots)], pivots
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns."""
+    rows, pivots = _eliminate(m, full=True)
+    reduced = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        reduced.append(tuple(x // p if x % p == 0 else Fraction(x, p) for x in row))
+    reduced.extend((0,) * m.ncols for _ in range(m.nrows - len(rows)))
+    return Mat(m.nrows, m.ncols, tuple(reduced)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m, full=False)[1])
 
 
 def nullspace(m: Mat) -> Mat:
@@ -116,8 +150,8 @@ def nullspace(m: Mat) -> Mat:
     free = [c for c in range(m.ncols) if c not in pivots]
     cols = []
     for fc in free:
-        v = [Fraction(0)] * m.ncols
-        v[fc] = Fraction(1)
+        v = [0] * m.ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -reduced.rows[r][fc]
         cols.append(v)
@@ -128,7 +162,7 @@ def nullspace(m: Mat) -> Mat:
 
 def column_space(m: Mat) -> Mat:
     """Columns form a basis of the column space (the pivot columns of m)."""
-    _, pivots = rref(m)
+    _, pivots = _eliminate(m, full=False)
     if not pivots:
         return Mat(m.nrows, 0, tuple(() for _ in range(m.nrows)))
     return Mat(m.nrows, len(pivots), tuple(tuple(row[c] for c in pivots) for row in m.rows))
@@ -153,7 +187,7 @@ def solve(a: Mat, b: Mat) -> Mat:
         raise InconsistentSystemError("system has no exact solution")
     if len(pivots) < a.ncols:
         raise ValueError("solution is not unique (rank-deficient coefficient matrix)")
-    rows = [[Fraction(0)] * b.ncols for _ in range(a.ncols)]
+    rows = [[0] * b.ncols for _ in range(a.ncols)]
     for r, pc in enumerate(pivots):
         rows[pc] = list(reduced.rows[r][a.ncols:])
     return Mat(a.ncols, b.ncols, tuple(tuple(r) for r in rows))

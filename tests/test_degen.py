@@ -235,6 +235,23 @@ def test_boundary_check_catches_swapped_split():
         boundary_check(bad)
 
 
+def test_boundary_check_catches_wrong_boundary_classes():
+    # each stored boundary class, replaced by a wrong one, must be caught by
+    # the explicit kernel, image or cokernel of boundary_check
+    checked = 0
+    for q in all_quivers(3):
+        for d in vec_boxes(tuple([2] * q.n)):
+            for m, n in degeneration_poset(q, d).covers:
+                bd = bongartz_data(q, m, n)
+                extra = RepClass(((bd.x1, 1),))
+                for field, message in (("x_ker", "Ker"), ("s_im", "Im"), ("s_quot", "S / Im")):
+                    bad = replace(bd, **{field: getattr(bd, field).union(extra)})
+                    with pytest.raises(InternalCheckError, match=f"^{message}"):
+                        boundary_check(bad)
+                checked += 1
+    assert checked > 0
+
+
 def test_bongartz_split_with_repeated_simple_classes():
     # common contains copies of both the x1 and s1 interval classes; the
     # valid split must send the s1-copy to the x side and vice versa
