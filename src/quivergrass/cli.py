@@ -17,7 +17,14 @@ import sys
 from functools import cache
 
 from .degen import bongartz_data, degeneration_poset
-from .grass import STRATA_SPLIT_BUDGET, PoincarePoly, betti_oracle, betti_recursion, strata_table
+from .grass import (
+    STRATA_SPLIT_BUDGET,
+    PoincarePoly,
+    betti_oracle,
+    betti_recursion,
+    check_peel_depth,
+    strata_table,
+)
 from .quiver import InternalCheckError, Interval, RepClass, TypeAQuiver
 from .specialize import (
     VerifySummary,
@@ -211,10 +218,15 @@ def cmd_betti(args) -> int:
     e = parse_vec(args.sub, q.n)
     payload = {"quiver": q.label(), "rep": m.text(), "sub": list(e), "method": args.method}
     status = 0
+    # every refusal comes before any work: the peel depth, then the oracle,
+    # whose budget check precedes its count; the recursion runs last
+    if args.method == "both":
+        check_peel_depth(q, m, e, e)
+    count = betti_oracle(q, m, e) if args.method in ("count", "both") else None
     if args.method in ("recursion", "both"):
         payload["recursion"] = _poly_json(betti_recursion(q, m, e))
-    if args.method in ("count", "both"):
-        payload["count"] = _poly_json(betti_oracle(q, m, e))
+    if count is not None:
+        payload["count"] = _poly_json(count)
     if args.method == "both":
         if payload["recursion"] == payload["count"]:
             payload["match"] = True

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,12 +235,28 @@ def betti_table(
     hi = m.dim(q.n) if hi is None else tuple(hi)
     if len(lo) != q.n or len(hi) != q.n:
         raise ValueError("dimension vector length mismatch")
+    check_peel_depth(q, m, lo, hi)
     try:
         return _betti_table(q, m, lo, hi, reverse_peel)
     except RecursionError:
-        raise ValueError(
-            f"{sum(k for _, k in m.pairs)} summand copies nest the peeling recursion too deep"
-        ) from None
+        raise _too_deep(m) from None
+
+
+def _too_deep(m: RepClass) -> ValueError:
+    return ValueError(f"{sum(k for _, k in m.pairs)} summand copies nest the peeling recursion too deep")
+
+
+def check_peel_depth(q: TypeAQuiver, m: RepClass, lo: tuple[int, ...], hi: tuple[int, ...]) -> None:
+    """Refuse, before any work, a box of m whose peel cannot finish.
+
+    A box that meets 0 <= e <= dim m keeps meeting it at every peel level,
+    so its peel nests one call per summand copy and cannot finish with more
+    copies than the interpreter's recursion limit.  The ValueError is the
+    one betti_table raises when fewer copies still nest too deep.
+    """
+    meets = all(0 <= b and a <= min(b, x) for a, b, x in zip(lo, hi, m.dim(q.n)))
+    if meets and sum(k for _, k in m.pairs) > sys.getrecursionlimit():
+        raise _too_deep(m)
 
 
 @cache

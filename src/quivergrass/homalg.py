@@ -80,9 +80,17 @@ def _intertwiner_matrix(f: ExplicitRep, g: ExplicitRep) -> tuple[Mat, tuple[int,
 
 
 def hom_dim(f: ExplicitRep, g: ExplicitRep) -> int:
-    """dim Hom(f, g), by exact rank of the intertwining system."""
+    """dim Hom(f, g), by exact rank of the intertwining system.
+
+    A system with no unknowns or no equations has rank 0, so its dimension
+    is its unknown count and the matrix is not built.
+    """
     if f.quiver != g.quiver:
         raise ValueError("representations live on different quivers")
+    q = f.quiver
+    unknowns = sum(x * y for x, y in zip(f.dims, g.dims))
+    if not unknowns or not any(g.dims[t - 1] * f.dims[s - 1] for s, t in map(q.edge, range(q.n - 1))):
+        return unknowns
     system, _ = _intertwiner_matrix(f, g)
     return system.ncols - rank(system)
 
@@ -135,11 +143,12 @@ def hom_basis(f: ExplicitRep, g: ExplicitRep) -> tuple[ExplicitHom, ...]:
 def hom_table(q: TypeAQuiver) -> tuple[tuple[int, ...], ...]:
     """Hom dimensions between interval modules, validated at build time."""
     intervals = intervals_of(q)
+    reps = [explicit_of(q, RepClass(((u, 1),))) for u in intervals]
     table = []
-    for u in intervals:
+    for u, f in zip(intervals, reps):
         row = []
-        for v in intervals:
-            h = hom_dim(explicit_of(q, RepClass(((u, 1),))), explicit_of(q, RepClass(((v, 1),))))
+        for v, g in zip(intervals, reps):
+            h = hom_dim(f, g)
             if h not in (0, 1):
                 raise InternalCheckError(f"[{u},{v}] = {h}, expected 0 or 1")
             row.append(h)

@@ -10,10 +10,10 @@ an answer is non-integral.  Everything here is deterministic and exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 Entry = int | Fraction
 

@@ -10,9 +10,9 @@ enumerate_rep_classes lists those of one dimension vector in canonical order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
 
 from .linalg import Mat
 

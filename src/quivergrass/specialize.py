@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .degen import bongartz_data, degeneration_poset, hom_leq, local_covers
@@ -156,6 +155,10 @@ def verify_theorem(
     tasks = [(q, m, n, (0,) * q.n, d) for (m, n) in poset.covers]
     workers = min(jobs, len(tasks), default_jobs())
     if workers > 1:
+        # imported here so that a serial sweep or any other route never loads
+        # the process-pool stack (concurrent.futures.process, multiprocessing)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cover_rows, tasks))
     else:

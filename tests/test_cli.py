@@ -333,6 +333,20 @@ def test_cli_betti_oracle_budget_charges_interpolation(capsys, quiver, rep, sub)
     assert error["type"] == "value" and "exceeds budget" in error["message"]
 
 
+def test_cli_betti_both_refuses_the_oracle_before_the_recursion(monkeypatch, capsys):
+    # the default --method both: the oracle's budget refuses this input, so
+    # the recursion (1.3 s and 325 MB when it ran first) must never start
+    def recursion_ran(*args, **kwargs):
+        raise AssertionError("betti_recursion ran before the oracle was refused")
+
+    monkeypatch.setattr(cli, "betti_recursion", recursion_ran)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "betti", "--quiver", "A1", "--rep", "[1,1]x140", "--sub", "70")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "value", "message": "oracle cost 58872532391 exceeds budget 5000000"}}
+
+
 @pytest.mark.parametrize("sub, splits", [("1000,1000", 1_002_001), (f"{HUGE},0", 10**20)], ids=["1000,1000", "huge,0"])
 def test_cli_strata_refuses_too_many_splits_first(capsys, sub, splits):
     start = time.perf_counter()

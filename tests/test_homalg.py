@@ -70,6 +70,40 @@ def test_hom_dim_examples():
     assert hom_dim(p1, explicit_of(A2, cls((1, 1)))) == 1
 
 
+def test_hom_dim_short_cut_is_exact():
+    # hom_dim answers a system with no unknowns or no equations without
+    # building it; the full system's ncols - rank must agree on every pair
+    # of interval modules of A1-A5 and of classes of A3 with d <= (2, 2, 2)
+    shapes = set()
+    for q in all_quivers(5):
+        reps = [explicit_of(q, RepClass(((u, 1),))) for u in intervals_of(q)]
+        if q.n == 3:
+            reps += [explicit_of(q, m) for d in itertools.product(range(3), repeat=3) for m in enumerate_rep_classes(q, d)]
+        for f, g in itertools.product(reps, repeat=2):
+            system, _ = homalg._intertwiner_matrix(f, g)
+            shapes.add((system.ncols > 0, system.nrows > 0))
+            assert hom_dim(f, g) == system.ncols - rank(system), (q, f, g)
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_hom_table_builds_no_empty_system(monkeypatch):
+    built = []
+    real = homalg._intertwiner_matrix
+
+    def counting(f, g):
+        system, offsets = real(f, g)
+        built.append((system.nrows, system.ncols))
+        return system, offsets
+
+    q = TypeAQuiver(5, "FBFB")
+    expected = hom_table(q)
+    monkeypatch.setattr(homalg, "_intertwiner_matrix", counting)
+    assert homalg.hom_table.__wrapped__(q) == expected  # a fresh build, past the memo
+    assert built and all(rows and cols for rows, cols in built)
+    size = len(intervals_of(q))
+    assert len(built) < size * size
+
+
 def test_hom_table_entries():
     for q in all_quivers(5):
         table = hom_table(q)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import time
@@ -188,7 +189,7 @@ def test_verify_theorem_pool_size_is_capped(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(specialize, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = verify_theorem(A3, (1, 1, 1), jobs=1)
     covers = serial.covers
     assert covers > 3
