@@ -17,11 +17,13 @@ zero class is the only base case (a point at e = 0, empty elsewhere).
 Route two is an oracle: count subrepresentations over several prime fields,
 then interpolate the counting polynomial (Grassmannians here are paved by
 affine cells, so the count is a polynomial in the field size whose
-coefficients are the even Betti numbers).  The count splits the vertices
-into runs linked by arrows whose condition bites; each run is walked from
-its end with fewer subspaces, enumerating subspaces in reduced row echelon
-form at every vertex but the last, whose admissible subspaces are counted in
-closed form from one rank over F_p.
+coefficients are the even Betti numbers), with Newton divided differences
+on integers, every division exact.  The count splits the vertices into runs
+linked by arrows whose condition bites.  A run of two vertices is counted
+in closed form, by the dimension in which the source subspace meets the
+arrow's kernel; a longer run enumerates subspaces in reduced row echelon
+form at the vertices of one parity class only, and counts each vertex of
+the other class in closed form from its neighbours.
 
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
@@ -43,7 +45,6 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import add, le, mul, sub
 from types import MappingProxyType
@@ -365,16 +366,6 @@ def _subspaces(ambient: int, k: int, p: int):
     return tuple(out)
 
 
-def _reduce_mod(vec: list[int], rows, pivots, p: int) -> bool:
-    """True when vec lies in the row space spanned by the echelon rows."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        if v[c]:
-            coef = v[c]
-            v = [(x - coef * y) % p for x, y in zip(v, row)]
-    return not any(v)
-
-
 def _mat_mod(mat, p: int):
     return tuple(tuple(int(x) % p for x in row) for row in mat.rows)
 
@@ -420,18 +411,123 @@ def _segments(q: TypeAQuiver, m: RepClass, d, e) -> list[list[int]]:
     return segments
 
 
+def _gr(n: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^n; 0 unless 0 <= k <= n."""
+    return gaussian_binomial(n, k).eval_at(p)
+
+
+def _pair_count(d_s: int, e_s: int, d_t: int, e_t: int, rank: int, p: int) -> int:
+    """Pairs (W, U) of subspaces of F_p^d_s, F_p^d_t of dimensions e_s, e_t with A W <= U.
+
+    A has the given rank, so K = ker A has dimension k = d_s - rank.  An
+    e_s-subspace W meets K in dimension j for p^((k-j)(e_s-j)) [k, j]_p
+    [d_s-k, e_s-j]_p choices of W; then A W has dimension r = e_s - j, and
+    the U containing it form Gr(e_t - r, d_t - r).
+    """
+    k = d_s - rank
+    total = 0
+    for j in range(max(0, e_s - rank), min(k, e_s) + 1):
+        r = e_s - j
+        total += p ** ((k - j) * r) * _gr(k, j, p) * _gr(rank, r, p) * _gr(d_t - r, e_t - r, p)
+    return total
+
+
+def _face(q: TypeAQuiver, mats, u: int, v: int, rows, pivots, p: int):
+    """What the subspace (rows, pivots) at u asks of its neighbour v.
+
+    Returns (images, image rank, constraints, constraint rank), one pair
+    empty.  For an arrow u -> v with matrix A the images span A U, which
+    the subspace at v must contain; for an arrow v -> u the constraints are
+    y A for the rows y cutting out U (one per column of U's echelon form
+    without a pivot), whose common kernel is the preimage of U, in which the
+    subspace at v must lie.
+    """
+    k = min(u, v) - 1
+    if q.edge(k)[0] == u:
+        images = [_apply(mats[k], row, p) for row in rows]
+        return images, _rank_mod(images, p), [], 0
+    columns, width = tuple(zip(*mats[k])), len(mats[k])
+    constraints = []
+    for c in range(width):
+        if c not in pivots:
+            y = [0] * width
+            y[c] = 1
+            for row, pivot in zip(rows, pivots):
+                y[pivot] = -row[c] % p
+            constraints.append(_apply(columns, y, p))
+    return [], 0, constraints, _rank_mod(constraints, p)
+
+
+def _between(d_v: int, e_v: int, faces, p: int) -> int:
+    """Admissible e_v-subspaces at a closed-form vertex v, given its enumerated neighbours.
+
+    L is the span of the images of the faces and H the common kernel of
+    their constraints (_face); the subspaces U with L <= U <= H form
+    Gr(e_v - dim L, dim H - dim L) when L <= H, and there are none otherwise.
+    """
+    if len(faces) == 1:
+        ((_, low, _, cut),) = faces
+    else:
+        (images1, low1, cons1, cut1), (images2, low2, cons2, cut2) = faces
+        images, constraints = images1 + images2, cons1 + cons2
+        if any(sum(map(mul, y, x)) % p for y in constraints for x in images):
+            return 0
+        low = low1 if not images2 else low2 if not images1 else _rank_mod(images, p)
+        cut = cut1 if not cons2 else cut2 if not cons1 else _rank_mod(constraints, p)
+    return _gr(d_v - cut - low, e_v - low, p)
+
+
+def _run_count(q: TypeAQuiver, mats, run: list[int], d, e, p: int) -> int:
+    """Admissible subspace tuples on a run of three or more linked vertices.
+
+    Adjacent vertices of the run lie in different parity classes, so once
+    the subspaces of one class are fixed, each vertex of the other class is
+    counted in closed form from its one or two neighbours (_between).  The
+    class enumerated is the one listing fewer subspaces and pairs of
+    consecutive ones; weights are carried along it in run order.
+    """
+    sizes = [_gr(d[v - 1], e[v - 1], p) for v in run]
+    start = min((0, 1), key=lambda i: sum(sizes[i::2]) + sum(map(mul, sizes[i::2], sizes[i + 2 :: 2])))
+    weights = ahead = None
+    for i in range(start, len(run), 2):
+        u = run[i]
+        spaces = _subspaces(d[u - 1], e[u - 1], p)
+        if i == 0:
+            weights = [1] * len(spaces)
+        else:
+            # run[i - 1] is counted in closed form from u and, inside the run, the vertex before it
+            v = run[i - 1]
+            behind = [_face(q, mats, u, v, rows, pivots, p) for rows, pivots in spaces]
+            if weights is None:
+                weights = [_between(d[v - 1], e[v - 1], (f,), p) for f in behind]
+            else:
+                weights = [
+                    sum(w * _between(d[v - 1], e[v - 1], (a, f), p) for w, a in zip(weights, ahead) if w)
+                    for f in behind
+                ]
+        if i + 1 < len(run):
+            v = run[i + 1]
+            ahead = [_face(q, mats, u, v, rows, pivots, p) if w else None for w, (rows, pivots) in zip(weights, spaces)]
+    if i + 1 < len(run):
+        # the run ends on a closed-form vertex after the last enumerated one
+        return sum(w * _between(d[v - 1], e[v - 1], (a,), p) for w, a in zip(weights, ahead) if w)
+    return sum(weights)
+
+
 def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
     """Number of subrepresentation tuples of m over F_p with dimensions e.
 
     Runs of vertices linked by biting arrows are independent, so the count
-    is a product over runs.  A run is walked from its end with fewer
-    e-subspaces: the subspaces of every vertex but the last are enumerated in
-    echelon form, each weighted by the number of admissible choices behind
-    it.  The last vertex b is counted in closed form from the subspace W at
-    its neighbour a: for an arrow a -> b with matrix A the admissible U
-    contain A W, which leaves Gr(e_b - r, d_b - r) with r = rank A W; for an
-    arrow b -> a they lie in the preimage of W, which has dimension
-    d_b - (rank(W + im A) - e_a).
+    is a product over runs.  A single vertex contributes Gr(e_v, d_v).  A
+    run of two vertices s -> t enumerates nothing: its arrow's matrix has
+    rank the number of summand copies spanning it, and _pair_count sums
+    over the dimension in which the e_s-subspace meets the kernel.  A longer
+    run enumerates the subspaces, in reduced row echelon form, of one parity
+    class of its vertices and counts every vertex of the other class in
+    closed form from its neighbours (_run_count): the subspaces U at v
+    contain the span L of the images arriving from them and lie in the
+    intersection H of the preimages under v's out-arrows, which leaves
+    Gr(e_v - dim L, dim H - dim L) when L <= H and nothing otherwise.
     """
     if not _is_prime(p) or p > MAX_PRIME:
         raise ValueError(f"p must be a prime at most {MAX_PRIME}")
@@ -440,60 +536,21 @@ def point_count(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
     d = m.dim(q.n)
     if any(x < 0 for x in e) or not vec_leq(e, d):
         return 0
-    rep = explicit_of(q, m)
-    mats = [_mat_mod(mat, p) for mat in rep.mats]
-
-    def size(v: int) -> int:
-        return gaussian_binomial(d[v - 1], e[v - 1]).eval_at(p)
-
+    runs = _segments(q, m, d, e)
+    mats = [_mat_mod(mat, p) for mat in explicit_of(q, m).mats] if any(len(run) > 2 for run in runs) else None
     total = 1
-    for segment in _segments(q, m, d, e):
-        if len(segment) == 1:
-            total *= size(segment[0])
-            continue
-        if size(segment[0]) > size(segment[-1]):
-            segment = segment[::-1]
-        current = _subspaces(d[segment[0] - 1], e[segment[0] - 1], p)
-        weights = [1] * len(current)
-        for a, b in zip(segment, segment[1:-1]):
-            k = min(a, b) - 1
-            incoming = _subspaces(d[b - 1], e[b - 1], p)
-            new_weights = []
-            if q.edge(k)[0] == a:
-                # condition: image of the subspace at a lands in the one at b
-                images = [[_apply(mats[k], list(row), p) for row in rows] for rows, _ in current]
-                for rows, pivots in incoming:
-                    acc = 0
-                    for w, img in zip(weights, images):
-                        if w and all(_reduce_mod(vec, rows, pivots, p) for vec in img):
-                            acc += w
-                    new_weights.append(acc)
-            else:
-                # arrow b -> a: image of the subspace at b lands in the one at a
-                for rows, _ in incoming:
-                    img = [_apply(mats[k], list(row), p) for row in rows]
-                    acc = 0
-                    for w, (arows, apivots) in zip(weights, current):
-                        if w and all(_reduce_mod(vec, arows, apivots, p) for vec in img):
-                            acc += w
-                    new_weights.append(acc)
-            current, weights = incoming, new_weights
-        a, b = segment[-2], segment[-1]
-        k = min(a, b) - 1
-        d_b, e_b = d[b - 1], e[b - 1]
-        picked = [(w, rows) for w, (rows, _) in zip(weights, current) if w]
-        if q.edge(k)[0] == a:
-            # U contains A W of rank r: an (e_b - r)-subspace of F_p^d_b / A W
-            by_rank = [gaussian_binomial(d_b - r, e_b - r).eval_at(p) for r in range(d_b + 1)]
-            total *= sum(
-                w * by_rank[_rank_mod([_apply(mats[k], list(row), p) for row in rows], p)]
-                for w, rows in picked
-            )
+    for run in runs:
+        if len(run) == 1:
+            (v,) = run
+            total *= _gr(d[v - 1], e[v - 1], p)
+        elif len(run) == 2:
+            s, t = q.edge(run[0] - 1)
+            rank = sum(k for u, k in m.pairs if u.a <= run[0] and run[1] <= u.b)
+            total *= _pair_count(d[s - 1], e[s - 1], d[t - 1], e[t - 1], rank, p)
         else:
-            # U lies in A^-1(W), of dimension d_b - dim((W + im A) / W)
-            columns = tuple(zip(*mats[k]))
-            by_dim = [gaussian_binomial(n, e_b).eval_at(p) for n in range(d_b + 1)]
-            total *= sum(w * by_dim[d_b + e[a - 1] - _rank_mod(rows + columns, p)] for w, rows in picked)
+            total *= _run_count(q, mats, run, d, e, p)
+        if not total:
+            return 0
     return total
 
 
@@ -508,23 +565,30 @@ def _enum_cost(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], p: int) -> int:
     return cost
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients of the unique polynomial of degree < len(points) through points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            # multiply basis by (X - xj)
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
+def _interpolate(points: list[tuple[int, int]]) -> list[int] | None:
+    """Integer coefficients of the polynomial of degree < len(points) through points.
+
+    Newton divided differences, then the Newton form expanded by Horner's
+    rule.  For an integer polynomial at distinct integer nodes every divided
+    difference is an integer, so each division is exact; None when one is
+    not, that is when the interpolating polynomial has a non-integer
+    coefficient.
+    """
+    xs = [x for x, _ in points]
+    diffs = [y for _, y in points]
+    for k in range(1, len(points)):
+        for i in range(len(points) - 1, k - 1, -1):
+            quot, rem = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - k])
+            if rem:
+                return None
+            diffs[i] = quot
+    coeffs: list[int] = []
+    for x, c in zip(reversed(xs), reversed(diffs)):
+        # coeffs * (X - x) + c
+        coeffs = [0] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= x * coeffs[k + 1]
+        coeffs[0] += c
     return coeffs
 
 
@@ -560,10 +624,10 @@ def betti_oracle(
         raise ValueError(f"oracle cost {cost} exceeds budget {budget}")
     values = [point_count(q, m, e, p) for p in primes]
     raw = _interpolate(list(zip(primes[: bound + 1], values[: bound + 1])))
-    for c in raw:
-        if c.denominator != 1 or c < 0:
-            raise InternalCheckError(f"point counts of ({m}, e={e}) do not interpolate to Betti numbers: {raw}")
-    poly = PoincarePoly.from_coeffs(int(c) for c in raw)
+    if raw is None or any(c < 0 for c in raw):
+        found = "a non-integer coefficient" if raw is None else raw
+        raise InternalCheckError(f"point counts of ({m}, e={e}) do not interpolate to Betti numbers: {found}")
+    poly = PoincarePoly.from_coeffs(raw)
     if poly.eval_at(primes[-1]) != values[-1]:
         raise InternalCheckError(f"witness prime {primes[-1]} rejects the interpolation for ({m}, e={e})")
     return poly

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import sys
 import time
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,12 +300,21 @@ def test_point_count_examples():
         point_count(A2, p13, (1, 2), 4)
 
 
-def test_point_count_brute_force_cross_check():
-    """Check the segment/echelon counting against a direct enumeration."""
+def _reduce_mod(vec, rows, pivots, p):
+    """True when vec lies in the row space spanned by the echelon rows."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            coef = v[c]
+            v = [(x - coef * y) % p for x, y in zip(v, row)]
+    return not any(v)
+
+
+def test_point_count_brute_force_cross_check(monkeypatch):
+    """Check the closed forms and the parity walk against a direct enumeration."""
 
     def brute(q, m, e, p):
-        from quivergrass.grass import _subspaces, _mat_mod, _apply, _reduce_mod
-        from quivergrass.quiver import explicit_of
+        from quivergrass.grass import _subspaces, _mat_mod, _apply
 
         d = m.dim(q.n)
         rep = explicit_of(q, m)
@@ -357,6 +367,66 @@ def test_point_count_brute_force_cross_check():
     for q, m, e, p in cases:
         assert point_count(q, m, e, p) == brute(q, m, e, p), (q.label(), m.text(), e, p)
 
+    # runs of three and four vertices: which parity class the walk enumerates
+    # (0: the run's first vertex and every other one after it), and the arrows
+    # at the vertices it counts in closed form, out of or into that vertex
+    m3 = "[1,2],[2,2],[2,3],[3,3]"
+    m4 = "[1,1],[1,2],[2,3],[3,4],[4,4]"
+    walks = [
+        ("A3:FB", m3, (1, 1, 1), 3, 0),  # middle: in, in
+        ("A3:FF", m3, (1, 1, 1), 3, 0),  # middle: in, out
+        ("A3:BF", m3, (0, 1, 1), 3, 0),  # middle: out, out
+        # the same shapes with rank-2 arrows, where the subspaces meet at an angle
+        ("A3:FB", "[1,3]x2,[2,2]x2", (1, 2, 1), 3, 0),
+        ("A3:FF", "[1,3]x2,[2,2]x2", (1, 2, 1), 3, 0),
+        ("A3:BF", "[1,3]x2,[2,2]x2", (1, 2, 1), 3, 0),
+        ("A3:FF", "[1,1],[1,2],[2,2],[2,3],[3,3]x2", (1, 1, 1), 3, 1),  # ends: out, in
+        ("A4:FFF", m4, (1, 1, 1, 1), 3, 0),  # between: in, out; end: in
+        ("A4:FFB", m4, (1, 1, 1, 1), 3, 0),  # end: out
+        ("A4:FBF", m4, (1, 1, 1, 1), 3, 0),  # between: in, in
+        ("A4:BFF", m4, (1, 1, 1, 1), 3, 0),  # between: out, out
+        ("A4:BFF", "[1,1],[1,3],[3,4],[4,4]", (1, 1, 1, 1), 3, 1),  # end: in
+        ("A4:FFF", "[1,1],[1,2],[2,3],[3,4]", (1, 1, 1, 0), 3, 1),  # end: out; between: in, out
+        ("A4:FFB", "[1,1],[1,2],[2,3],[3,4]", (1, 1, 1, 1), 3, 1),  # between: in, in
+        ("A4:FBF", "[1,1],[1,3],[3,4],[4,4]", (1, 0, 1, 1), 3, 1),  # between: out, out
+    ]
+    original = grass._subspaces
+    for label, rep, e, p, parity in walks:
+        q = parse_quiver(label)
+        m = parse_rep(rep, q)
+        d = m.dim(q.n)
+        (run,) = [run for run in grass._segments(q, m, d, e) if len(run) > 2]
+        requested = set()
+        monkeypatch.setattr(grass, "_subspaces", lambda n, k, p: requested.add((n, k, p)) or original(n, k, p))
+        count = point_count(q, m, e, p)
+        monkeypatch.setattr(grass, "_subspaces", original)
+        assert requested == {(d[v - 1], e[v - 1], p) for v in run[parity::2]}, (label, rep, e)
+        assert count == brute(q, m, e, p) > 0, (label, rep, e, p)
+
+
+def test_face_rows_cut_out_the_preimage():
+    # on A2:F with arrow 1 -> 2: seen from vertex 1, the face of a subspace U
+    # at vertex 2 has constraint rows with common kernel A^-1(U); seen from
+    # vertex 2, the face of U at vertex 1 has images spanning A U
+    q = A2
+    for p in (3, 5):
+        for d1, d2 in ((2, 2), (2, 3), (3, 2), (1, 3)):
+            for seed in range(3):
+                a = [tuple((seed * i + i * j + j * j + 1) % p for j in range(d1)) for i in range(d2)]
+                vectors = list(itertools.product(range(p), repeat=d1))
+                for k in range(d2 + 1):
+                    for rows, pivots in grass._subspaces(d2, k, p):
+                        images, low, cons, cut = grass._face(q, [a], 2, 1, rows, pivots, p)
+                        assert images == [] and low == 0 and cut == grass._rank_mod(cons, p)
+                        for x in vectors:
+                            inside = _reduce_mod(grass._apply(a, x, p), rows, pivots, p)
+                            assert inside == all(sum(map(mul, y, x)) % p == 0 for y in cons), (p, a, rows, x)
+                for k in range(d1 + 1):
+                    for rows, pivots in grass._subspaces(d1, k, p):
+                        images, low, cons, cut = grass._face(q, [a], 1, 2, rows, pivots, p)
+                        assert cons == [] and cut == 0
+                        assert images == [grass._apply(a, row, p) for row in rows] and low == grass._rank_mod(images, p)
+
 
 def reference_segments(q, m, d, e, p):
     """Runs of vertices linked by arrows whose matrix mod p is nonzero, with
@@ -407,7 +477,7 @@ def test_enum_cost_pinned(label, rep, e, p, cost):
     assert grass._enum_cost(q, parse_rep(rep, q), e, p) == cost
 
 
-def test_point_count_never_enumerates_the_last_vertex(monkeypatch):
+def test_point_count_enumerates_only_one_parity_class(monkeypatch):
     requested = []
     original = grass._subspaces
 
@@ -416,16 +486,104 @@ def test_point_count_never_enumerates_the_last_vertex(monkeypatch):
         return original(ambient, k, p)
 
     monkeypatch.setattr(grass, "_subspaces", recording)
+    # a two-vertex run is counted in closed form: nothing is enumerated
     q = TypeAQuiver(3, "BB")
     m = RepClass.from_pairs([(Interval(1, 2), 1), (Interval(2, 2), 4)])
     assert point_count(q, m, (0, 4, 0), 13) == betti_recursion(q, m, (0, 4, 0)).eval_at(13)
-    assert requested and (5, 4, 13) not in requested
-    # mirrored: Gr(4, 5) comes first in the run, so the walk must start at vertex 2
-    requested.clear()
     q = TypeAQuiver(3, "FF")
     m = RepClass.from_pairs([(Interval(1, 1), 4), (Interval(1, 2), 1)])
     assert point_count(q, m, (4, 0, 0), 13) == betti_recursion(q, m, (4, 0, 0)).eval_at(13)
-    assert requested and (5, 4, 13) not in requested
+    assert requested == []
+    # three-vertex runs whose middle vertex is Gr(2, 4): only the ends are listed
+    q = parse_quiver("A4:BBF")
+    m = parse_rep("[1,3],[2,2]x3", q)
+    assert point_count(q, m, (0, 2, 1, 0), 13) == betti_recursion(q, m, (0, 2, 1, 0)).eval_at(13)
+    assert sorted(requested) == [(1, 0, 13), (1, 1, 13)]
+    # here the middle vertex Gr(0, 1) is listed, and the ends Gr(2, 4), Gr(1, 1) are not
+    requested.clear()
+    q = parse_quiver("A4:FFB")
+    m = parse_rep("[2,2]x3,[2,4]", q)
+    assert point_count(q, m, (0, 2, 0, 1), 13) == betti_recursion(q, m, (0, 2, 0, 1)).eval_at(13)
+    assert requested == [(1, 0, 13)]
+
+
+def _sweep_with_long_runs():
+    """(q, m, e) of A3 (d <= 2), A4 and A5 (d <= 1) with a run of three or more vertices."""
+    for q, bound in [(q, 2) for q in all_quivers(3) if q.n == 3] + [(q, 1) for q in all_quivers(5) if q.n >= 4]:
+        for d in vec_boxes((bound,) * q.n):
+            for m in enumerate_rep_classes(q, d):
+                for e in vec_boxes(d):
+                    if max(map(len, grass._segments(q, m, d, e))) >= 3:
+                        yield q, m, e
+
+
+def test_point_count_exact_on_long_runs():
+    checked = longest = 0
+    for q, m, e in _sweep_with_long_runs():
+        value = betti_recursion(q, m, e)
+        longest = max(longest, *map(len, grass._segments(q, m, m.dim(q.n), e)))
+        for p in (2, 3):
+            assert point_count(q, m, e, p) == value.eval_at(p), (q.label(), m.text(), e, p)
+            checked += 1
+    assert (checked, longest) == (1576, 5)
+
+
+def test_point_count_work_within_enum_cost(monkeypatch):
+    # the budget guard charges _enum_cost; the walk lists subspaces of one
+    # parity class and visits pairs of them through _between with two faces
+    visits = []
+    original_subspaces, original_between = grass._subspaces, grass._between
+
+    def listing(ambient, k, p):
+        spaces = original_subspaces(ambient, k, p)
+        visits.append(len(spaces))
+        return spaces
+
+    def between(d_v, e_v, faces, p):
+        visits.append(len(faces) - 1)
+        return original_between(d_v, e_v, faces, p)
+
+    monkeypatch.setattr(grass, "_subspaces", listing)
+    monkeypatch.setattr(grass, "_between", between)
+    for q, m, e in _sweep_with_long_runs():
+        for p in (2, 3):
+            visits.clear()
+            point_count(q, m, e, p)
+            assert sum(visits) <= grass._enum_cost(q, m, e, p), (q.label(), m.text(), e, p)
+
+
+@given(st.lists(st.integers(0, 50), max_size=8), st.sets(st.integers(-30, 30), min_size=8, max_size=12))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_interpolate_recovers_integer_polynomials(coeffs, nodes):
+    target = PoincarePoly.from_coeffs(coeffs)
+    xs = sorted(nodes)[: max(1, len(coeffs))]
+    raw = grass._interpolate([(x, target.eval_at(x)) for x in xs])
+    assert len(raw) == len(xs) and all(type(c) is int for c in raw)
+    assert PoincarePoly.from_coeffs(raw) == target
+
+
+def test_interpolate_rejects_non_integer_polynomials():
+    assert grass._interpolate([(0, 0), (2, 1)]) is None  # X / 2
+    assert grass._interpolate([(2, 0), (3, 0), (5, 1)]) is None  # (X - 2)(X - 3) / 6
+    assert grass._interpolate([(2, 1), (3, 1), (5, 7)]) == [7, -5, 1]
+    assert grass._interpolate([]) == []
+
+
+def test_betti_oracle_rejects_a_count_off_by_one(monkeypatch):
+    q = parse_quiver("A3:FF")
+    m = parse_rep("[1,2],[2,2],[2,3],[3,3]", q)
+    e = (1, 1, 1)
+    assert betti_oracle(q, m, e) == betti_recursion(q, m, e)
+    primes = first_primes(sum(x * (y - x) for x, y in zip(e, m.dim(q.n))) + 2)
+    original = grass.point_count
+    for wrong in primes:
+        monkeypatch.setattr(grass, "point_count", lambda q, m, e, p: original(q, m, e, p) + (p == wrong))
+        with pytest.raises(InternalCheckError, match="interpolat"):
+            betti_oracle(q, m, e)
+    # a negative coefficient: the counts of 1 - q + q^2
+    monkeypatch.setattr(grass, "point_count", lambda q, m, e, p: 1 - p + p * p)
+    with pytest.raises(InternalCheckError, match="do not interpolate to Betti numbers"):
+        betti_oracle(q, m, e)
 
 
 @given(st.sampled_from([q for q in all_quivers(5) if q.n >= 2]), st.data())
