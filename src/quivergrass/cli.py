@@ -313,7 +313,13 @@ def cmd_pbw(args) -> int:
     return 0 if report.monotone and report.identity_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call.
+
+    parse_args fills a fresh namespace on each call, so no call sees
+    another's flags.
+    """
     parser = _Parser(
         prog="quivergrass",
         description="Degeneration posets and quiver-Grassmannian Betti numbers for type A quivers",

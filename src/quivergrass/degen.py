@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .homalg import (
+    basis_subquotient_class,
     ext_dim,
     ext_intervals,
     hom_basis,
     hom_dim_classes,
     hom_vector,
     middle_term,
-    subquotient_class,
     tau,
     tau_class,
 )
@@ -273,7 +273,9 @@ def boundary_check(bd: BongartzData) -> bool:
     The identities are recomputed wholesale: x_ker must equal the kernel of
     the unique map x1 + x_rest -> tau(s1 + s_rest), and s_im / s_quot the
     image and cokernel of the unique map tau^-(x1 + x_rest) -> s1 + s_rest.
-    Raises InternalCheckError on any failure.
+    Both maps come from hom_basis, which validates them, so their
+    subquotients are read without validating again
+    (basis_subquotient_class).  Raises InternalCheckError on any failure.
     """
     q = bd.quiver
     if bd.x_rest.union(bd.s_rest) != bd.common:
@@ -289,16 +291,16 @@ def boundary_check(bd: BongartzData) -> bool:
         raise InternalCheckError("Ext^1(s_rest, s1) != 0")
 
     tau_s = tau_class(q, s_class)
-    kernel = subquotient_class(_unique_hom(q, x_class, tau_s), "kernel")
+    kernel = basis_subquotient_class(_unique_hom(q, x_class, tau_s), "kernel")
     if kernel != bd.x_ker:
         raise InternalCheckError(f"Ker(X -> tau S) = {kernel}, stored {bd.x_ker}")
 
     tau_inv_x = tau_class(q, x_class, "inverse")
     into_s = _unique_hom(q, tau_inv_x, s_class)
-    image = subquotient_class(into_s, "image")
+    image = basis_subquotient_class(into_s, "image")
     if image != bd.s_im:
         raise InternalCheckError(f"Im(tau^- X -> S) = {image}, stored {bd.s_im}")
-    cokernel = subquotient_class(into_s, "cokernel")
+    cokernel = basis_subquotient_class(into_s, "cokernel")
     if cokernel != bd.s_quot:
         raise InternalCheckError(f"S / Im = {cokernel}, stored {bd.s_quot}")
     if not vec_leq(bd.s_im.dim(q.n), cls_s1.dim(q.n)):

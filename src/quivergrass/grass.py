@@ -6,14 +6,16 @@ over pairs (A, B) of subrepresentations of the two factors, with affine
 fibers of dimension <dim B, dim rest - dim A>.  S is an interval module, so
 each B is a point fixed by its dimension vector g, and
 P(m, e) = sum over g of q^<g, dim rest - (e - g)> P(rest, e - g).  The
-peeled S is the least summand interval with no extension into the others
-(peel_summand), or the largest when the reverse direction is asked for.  The
-recursion builds whole tables (betti_table): the table of m over a box
-lo <= e <= hi is one twisted convolution of the table of rest over the box
+peeled S is the largest summand interval with no extension into the others
+(peel_summand with reverse set); reverse_peel peels the least one instead,
+as a cross-check that must give the same tables.  The recursion builds
+whole tables: the table of m over a box lo <= e <= hi is one twisted
+convolution of the table of rest over the box
 max(0, lo - dim S) <= f <= min(hi, dim rest) with the sub vectors g of S.
-Tables are memoised per (class, box, direction); a full box shares one entry
-per class, and betti_recursion reads a single e from the box [e, e].  The
-zero class is the only base case (a point at e = 0, empty elsewhere).
+Tables are memoised per (class, box, direction, slot width) and hold only
+their nonzero entries; a full box shares one entry per class, and
+betti_recursion reads a single e from the box [e, e].  The zero class is
+the only base case (a point at e = 0, empty elsewhere).
 Route two is an oracle: count subrepresentations over several prime fields,
 then interpolate the counting polynomial (Grassmannians here are paved by
 affine cells, so the count is a polynomial in the field size whose
@@ -25,16 +27,40 @@ arrow's kernel; a longer run enumerates subspaces in reduced row echelon
 form at the vertices of one parity class only, and counts each vertex of
 the other class in closed form from its neighbours.
 
+Inside the recursion, the strata walk and the cover checks a polynomial
+sum c_k q^k is packed into the one int sum c_k 2^(w k) (Kronecker
+substitution): a sum of polynomials is an int sum, a twist by q^s is a
+shift by w s bits, a product is one int product, and equality is int
+equality.  The slot width w is slot_width(d) = sum_v d_v + 2, rounded up
+to a multiple of 8, for the dimension vector d that every class of one
+sweep or chain shares; it is part of every memo key.  It fits, without
+the theorem under test: one peel gives sum_e P(m, e)(1) =
+|G(S)| sum_f P(rest, f)(1) with |G(S)| <= 2^(sum_v dim S_v) sub vectors,
+so by induction from the zero class the coefficients of any table entry
+sum to at most 2^(sum_v dim m_v).  The same holds for a strata product
+P(X, f) P(S, g), since X + S has the dimension of m, and for both strata
+sums at one e, because each i = 1 base is first checked to be
+coefficientwise at most its product.  So every coefficient is below
+2^(w - 1), and the top bit of each slot is a guard bit: a coefficientwise
+a <= b is the one test ((b | H) - a) & H == H with H the guard bits
+(packed_leq), and every addition into a table entry or a strata sum
+checks that no guard bit is set, which raises InternalCheckError.  Guard
+masks cover the slots up to the Grassmannian dimension
+sum_v d_v^2 // 4, and a table entry past it raises as well.  Packed values
+are unpacked (unpack) only at the public boundary: betti_table,
+betti_recursion, strata_kernel_table and the records of strata_table.
+
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
 induced extension class vanishes (i = 0) or not (i = 1) partitions the
 Grassmannian of n, the i = 0 part alone accounting for m.  Only the splits
-f + g = e with f <= dim X and g <= dim S can be nonzero, so only these
+f + g = e with f in the support of P(X) or P(x_ker) and g in the support of
+P(S) or P(s_quot) (shifted by dim s_im) can be nonzero, so only these
 support pairs are computed; every other split is a zero record.  One walk
 (_strata_terms) visits the support pairs with f + g in a box, reading the
-Betti numbers of the four classes from one Betti table each and applying
-one per-pair rule (_stratum_rule).  The i = 1 sums over any box
-(strata_kernel_table) serve every cover check; the records of a single e
+packed Betti numbers of the four classes from one table each and applying
+one per-pair rule (_stratum_rule).  The i = 1 and i = 0 sums over any box
+(strata_sums) serve every cover check; the records of a single e
 (strata_table) walk the box [e, e] and pad the other splits with zeros.
 """
 
@@ -189,8 +215,10 @@ def gr_interval(q: TypeAQuiver, u: Interval, e: tuple[int, ...]) -> PoincarePoly
 def peel_summand(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> Interval:
     """The least summand interval with no Ext^1 into any other summand interval.
 
-    The largest such interval when reverse is set.  Type A has no extension
-    cycles, so one always exists for a nonzero class.
+    The largest such interval when reverse is set: the Betti recursion peels
+    that one first, and the least one first only under reverse_peel, as its
+    cross-check.  Type A has no extension cycles, so one always exists for a
+    nonzero class.
     """
     intervals = m.intervals()
     for u in reversed(intervals) if reverse else intervals:
@@ -199,13 +227,81 @@ def peel_summand(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> Interval
     raise InternalCheckError(f"extension cycle among summands of {m}")
 
 
+# ---------------------------------------------------------------------------
+# packed polynomials
+
+
+def slot_width(d: tuple[int, ...]) -> int:
+    """Bits per packed coefficient for the classes of dimension vector d.
+
+    sum_v d_v + 2, rounded up to a multiple of 8: every coefficient of their
+    Betti tables, strata products and strata sums is at most 2^(sum_v d_v)
+    (module docstring), so it stays below the guard bit 2^(w - 1) of its slot.
+    """
+    return (sum(d) + 9) // 8 * 8
+
+
+def guard_mask(w: int, d: tuple[int, ...]) -> int:
+    """The guard bits of the slots 0 .. sum_v d_v^2 // 4 at slot width w.
+
+    That bounds the dimension of every Grassmannian of a class of dimension
+    d, and so the degree of its Betti polynomials, strata products and
+    strata sums.  Built by repeating the bytes of one slot.
+    """
+    slots = sum(x * x // 4 for x in d) + 1
+    return int.from_bytes((b"\x80" + bytes(w // 8 - 1)) * slots, "big")
+
+
+def packed_leq(a: int, b: int, mask: int) -> bool:
+    """Coefficientwise a <= b, for packed a, b >= 0 with every slot below its
+    guard bit and b inside the slots of mask.
+
+    Each slot of (b | guard bits) - a keeps its guard bit exactly when it
+    does not borrow.  a <= b as ints is necessary, and keeps a inside the
+    slots of mask.
+    """
+    return a <= b and ((b | mask) - a) & mask == mask
+
+
+def pack(p: PoincarePoly, w: int) -> int:
+    """p packed at slot width w, a multiple of 8.
+
+    A coefficient outside [0, 2^(w - 1)), below its slot's guard bit,
+    raises InternalCheckError.
+    """
+    if any(c >> (w - 1) for c in p.coeffs):
+        raise InternalCheckError(f"packing {p} sets a guard bit at slot width {w}")
+    step = w // 8
+    return int.from_bytes(b"".join(c.to_bytes(step, "little") for c in p.coeffs), "little")
+
+
+def unpack(v: int, w: int) -> PoincarePoly:
+    """The polynomial packed as v >= 0 at slot width w, a multiple of 8.
+
+    One to_bytes and one slice of w // 8 bytes per slot, so linear in the size.
+    """
+    if not v:
+        return PoincarePoly.zero()
+    step = w // 8
+    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return PoincarePoly(tuple(int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)))
+
+
+def _guard_error(what: str, e: tuple[int, ...], w: int) -> InternalCheckError:
+    return InternalCheckError(f"{what} at e={e} sets a guard bit at slot width {w}")
+
+
+# ---------------------------------------------------------------------------
+# the peeling recursion
+
+
 def betti_recursion(q: TypeAQuiver, m: RepClass, e: tuple[int, ...], *, reverse_peel: bool = False) -> PoincarePoly:
     """Poincare polynomial of the quiver Grassmannian of m at e, by peeling.
 
     Entry e of betti_table over the one-point box [e, e]; use betti_table
     itself for many e.  Zero when some entry of e is negative or exceeds
-    dim m.  reverse_peel peels the largest admissible summand instead, which
-    must give the same answer.
+    dim m.  The largest admissible summand is peeled first; reverse_peel
+    peels the least one first, which must give the same answer.
     """
     if len(e) != q.n:
         raise ValueError("dimension vector length mismatch")
@@ -223,22 +319,40 @@ def betti_table(
     """Poincare polynomials of the quiver Grassmannians of m at every lo <= e <= hi.
 
     The box defaults to 0 <= e <= dim m.  Keys run in lexicographic order,
-    zeros included; an entry outside 0 <= e <= dim m is 0.  Each peeled
-    summand copy S = peel_summand(q, m) (the largest with reverse_peel, which
-    must give the same table) costs one twisted convolution over the table of
-    rest = m - S on the box max(0, lo - dim S) <= f <= min(hi, dim rest).
-    Tables are memoised per (class, box, direction); the full box of m asks
-    for the full box of rest, so full tables keep one entry per class.  The
-    peel nests one call per summand copy, so a class with more copies than
-    the interpreter's recursion limit allows is a ValueError.
+    zeros included; an entry outside 0 <= e <= dim m is 0.  The entries are
+    those of packed_betti_table at the slot width of dim m, unpacked.  Each
+    peeled summand copy S (the largest admissible one, or the least with
+    reverse_peel, which must give the same table) costs one twisted
+    convolution over the table of rest = m - S on the box
+    max(0, lo - dim S) <= f <= min(hi, dim rest).  Tables are memoised per
+    (class, box, direction, slot width); the full box of m asks for the full
+    box of rest, so full tables keep one entry per class.  The peel nests one
+    call per summand copy, so a class with more copies than the
+    interpreter's recursion limit allows is a ValueError.
     """
     lo = (0,) * q.n if lo is None else tuple(lo)
     hi = m.dim(q.n) if hi is None else tuple(hi)
     if len(lo) != q.n or len(hi) != q.n:
         raise ValueError("dimension vector length mismatch")
+    w = slot_width(m.dim(q.n))
+    packed = packed_betti_table(q, m, lo, hi, w, reverse_peel=reverse_peel)
+    zero = PoincarePoly.zero()
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return MappingProxyType({e: unpack(packed[e], w) if e in packed else zero for e in box})
+
+
+def packed_betti_table(
+    q: TypeAQuiver, m: RepClass, lo: tuple[int, ...], hi: tuple[int, ...], w: int, *, reverse_peel: bool = False
+) -> Mapping[tuple[int, ...], int]:
+    """The nonzero entries of betti_table(q, m, lo, hi), packed at slot width w.
+
+    w is slot_width of the dimension vector that the classes of one sweep or
+    chain share, so their tables share memo entries.  The peel depth is
+    refused first, as in betti_table.
+    """
     check_peel_depth(q, m, lo, hi)
     try:
-        return _betti_table(q, m, lo, hi, reverse_peel)
+        return _betti_table(q, m, lo, hi, not reverse_peel, w)
     except RecursionError:
         raise _too_deep(m) from None
 
@@ -272,55 +386,68 @@ def _peel_terms(q: TypeAQuiver, u: Interval) -> tuple[tuple[tuple[int, ...], tup
     )
 
 
+def _euler_columns(q: TypeAQuiver) -> tuple[tuple[int, ...], ...]:
+    """Column u of the Euler form's matrix, <unit at v, unit at u> over v.
+
+    The linear form of g, w_u = <g, unit at u> = g . column_u, gives
+    <g, x> = w . x by bilinearity.  Row v is the linear form that
+    _peel_terms lists for the unit vector of the simple interval at v.
+    """
+    rows = [_peel_terms(q, Interval(v, v))[-1][1] for v in range(1, q.n + 1)]
+    return tuple(zip(*rows))
+
+
 @cache
 def _betti_table(
-    q: TypeAQuiver, m: RepClass, lo: tuple[int, ...], hi: tuple[int, ...], reverse: bool
-) -> Mapping[tuple[int, ...], PoincarePoly]:
-    """betti_table on the box [lo, hi], as an immutable mapping.
+    q: TypeAQuiver, m: RepClass, lo: tuple[int, ...], hi: tuple[int, ...], largest: bool, w: int
+) -> Mapping[tuple[int, ...], int]:
+    """The nonzero entries of betti_table on the box [lo, hi], packed at slot width w.
 
-    Peeling S off m, the subrepresentations of dimension e fiber over pairs
+    Peeling S off m (the largest admissible summand when largest is set, the
+    least otherwise), the subrepresentations of dimension e fiber over pairs
     (f, g), f + g = e, of a subrepresentation of rest and a sub vector g of
     S, with affine fibers of dimension <g, dim rest - f>.  By bilinearity
-    that exponent is w . dim rest - w . f for the linear form w of g
-    (_peel_terms).  Coefficients are summed in int lists; every
-    rest entry is nonnegative with a nonzero top coefficient, so each row
-    is already a normalised polynomial.
+    that exponent is w_g . dim rest - w_g . f for the linear form w_g of g
+    (_peel_terms).  For each g the loop runs over the f of the rest box with
+    lo <= f + g <= hi and adds the packed rest entry, shifted by that many
+    slots, to entry f + g.  A negative fiber dimension, a guard bit set by
+    any addition, or an entry past the slots of guard_mask raises
+    InternalCheckError.
     """
-    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    zero = PoincarePoly.zero()
     if not m.pairs:
-        return MappingProxyType({e: zero if any(e) else PoincarePoly.one() for e in box})
-    acc: dict[tuple[int, ...], list[int]] = {}
-    quot = peel_summand(q, m, reverse)
+        zero = (0,) * q.n
+        return MappingProxyType({zero: 1} if vec_leq(lo, zero) and vec_leq(zero, hi) else {})
+    acc: dict[tuple[int, ...], int] = {}
+    quot = peel_summand(q, m, largest)
     rest = m.remove_one(quot)
-    d_rest = rest.dim(q.n)
-    rest_lo = tuple(max(0, a - p) for a, p in zip(lo, quot.indicator(q.n)))
+    d_rest, d_quot = rest.dim(q.n), quot.indicator(q.n)
+    rest_lo = tuple(max(0, a - p) for a, p in zip(lo, d_quot))
     rest_hi = tuple(min(b, r) for b, r in zip(hi, d_rest))
     if all(a <= b for a, b in zip(lo, hi)) and all(a <= b for a, b in zip(rest_lo, rest_hi)):
-        rest_table = _betti_table(q, rest, rest_lo, rest_hi, reverse)
+        rest_table = _betti_table(q, rest, rest_lo, rest_hi, largest, w)
+        rest_entry = rest_table.get
+        mask = guard_mask(w, tuple(map(add, d_rest, d_quot)))
+        # with lo = rest_lo and rest_hi <= hi - dim S, for every g the f of the
+        # rest box with lo <= f + g <= hi are all of it: walk the stored entries
+        whole = lo == rest_lo and all(r <= b - p for r, b, p in zip(rest_hi, hi, d_quot))
         for g, weights in _peel_terms(q, quot):
             base = sum(map(mul, weights, d_rest))
-            # the f of the rest box with lo <= f + g <= hi
-            f_box = (
-                range(max(a, c - x), min(b, d - x) + 1) for a, b, c, d, x in zip(rest_lo, rest_hi, lo, hi, g)
-            )
-            for f in itertools.product(*f_box):
-                coeffs = rest_table[f].coeffs
-                if not coeffs:
+            f_box = (range(max(a, c - x), min(b, d - x) + 1) for a, b, c, d, x in zip(rest_lo, rest_hi, lo, hi, g))
+            for f in rest_table if whole else itertools.product(*f_box):
+                value = rest_entry(f)
+                if value is None:
                     continue
                 e = tuple(map(add, f, g))
                 shift = base - sum(map(mul, weights, f))
                 if shift < 0:
                     raise InternalCheckError(f"negative fiber dimension peeling {quot} from {m} at e={e}")
-                end = shift + len(coeffs)
-                row = acc.get(e)
-                if row is None:
-                    acc[e] = [0] * shift + list(coeffs)
-                    continue
-                if len(row) < end:
-                    row.extend([0] * (end - len(row)))
-                row[shift:end] = map(add, row[shift:end], coeffs)
-    return MappingProxyType({e: PoincarePoly(tuple(acc[e])) if e in acc else zero for e in box})
+                total = acc.get(e, 0) + (value << w * shift)
+                if total & mask:
+                    raise _guard_error(f"the Betti table of {m}", e, w)
+                acc[e] = total
+        if acc and max(acc.values()).bit_length() > mask.bit_length():
+            raise InternalCheckError(f"the Betti table of {m} has a degree past its Grassmannian dimension bound")
+    return MappingProxyType(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -648,20 +775,28 @@ class StratumRecord:
     base_poly: PoincarePoly
 
 
-def _stratum_rule(q: TypeAQuiver, dim_x: tuple[int, ...], f, g, product: PoincarePoly, base1: PoincarePoly):
-    """(base0, shift0, base1, shift1) of the split f + g, given P(X, f) P(S, g).
+def _cover_dim(bd: BongartzData) -> tuple[int, ...]:
+    """dim m = dim middle + dim common (= dim X + dim S) for the cover m -> n that bd decomposes."""
+    q = bd.quiver
+    return tuple(map(add, bd.middle.dim(q.n), bd.common.dim(q.n)))
 
-    The i = 0 base is the complement of the i = 1 base in the product and
-    must be nonnegative; a nonzero stratum sits over an affine space of the
-    Euler pairing's dimension, one more for i = 1, which must be nonnegative.
-    Zero strata get shift 0.
+
+def _stratum_rule(f, g, product: int, base1: int, pairing: int, mask: int, w: int):
+    """Packed (base0, shift0, base1, shift1) of the split f + g.
+
+    product is P(X, f) P(S, g) and base1 the i = 1 base, packed at slot
+    width w, and pairing is <g, dim X - f>.  The i = 0 base is the
+    complement of the i = 1 base in the product and must be nonnegative,
+    that is base1 <= product coefficientwise (packed_leq, inlined); a
+    nonzero stratum sits over an affine space of the pairing's dimension,
+    one more for i = 1, which must be nonnegative.  Zero strata get shift 0.
     """
-    base0 = product - base1
-    if not base0.is_nonneg():
+    if base1 and (base1 > product or ((product | mask) - base1) & mask != mask):
+        base0 = unpack(product, w) - unpack(base1, w)
         raise InternalCheckError(f"stratum complement has a negative count at f={f}, g={g}: {base0}")
+    base0 = product - base1
     shift0 = shift1 = 0
     if base0 or base1:
-        pairing = euler_form(q, g, vec_sub(dim_x, f))
         if base0:
             shift0 = pairing
         if base1:
@@ -672,16 +807,18 @@ def _stratum_rule(q: TypeAQuiver, dim_x: tuple[int, ...], f, g, product: Poincar
 
 
 def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
-    """Terms (f, g, base0, shift0, base1, shift1) of the support pairs with lo <= f + g <= hi.
+    """Packed terms (f, g, base0, shift0, base1, shift1) of the support pairs with lo <= f + g <= hi.
 
-    The support pairs are f <= dim X, g <= dim S, walked in lexicographic
-    (f, g) order.  Outside them P(X, f) P(S, g) is 0, and so is the i = 1
-    base: x_ker is a subrepresentation of X and s_im + s_quot has the
-    dimension of S.  Each class is read from one Betti table over the part
-    of the box it can reach, clamped to 0 <= . <= its dimension: X and x_ker
-    at f, S at g, s_quot at g - dim s_im; a missing entry reads 0.  On the
-    box [0, dim m] these are the full tables.  boundary_check runs once, at
-    the start of the walk.
+    The support pairs are the f in the support of P(X) or P(x_ker) and the g
+    in the support of P(S) or of P(s_quot) at g - dim s_im, walked in
+    lexicographic (f, g) order: elsewhere both P(X, f) P(S, g) and the i = 1
+    base P(x_ker, f) P(s_quot, g - dim s_im) are 0.  Each class is read from
+    one packed Betti table over the part of the box it can reach, clamped to
+    0 <= . <= its dimension, at the slot width of dim m = dim X + dim S.
+    For each f the walk runs over the g box lo - f <= g <= hi - f and skips
+    the g outside the support.  The pairing <g, dim X - f> is read from the
+    linear form of g (_euler_columns), formed once per g.  boundary_check runs
+    once, at the start of the walk.
     """
     q = bd.quiver
     if len(lo) != q.n or len(hi) != q.n:
@@ -690,25 +827,35 @@ def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
     x_class, s_class = bd.x_class, bd.s_class
     dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
+    dim_m = _cover_dim(bd)
+    w = slot_width(dim_m)
+    mask = guard_mask(w, dim_m)
 
-    def table(c: RepClass, a, b) -> Mapping[tuple[int, ...], PoincarePoly]:
+    def table(c: RepClass, a, b) -> Mapping[tuple[int, ...], int]:
         a, b = tuple(max(0, x) for x in a), tuple(map(min, b, c.dim(q.n)))
-        return betti_table(q, c, a, b) if vec_leq(a, b) else {}
+        return packed_betti_table(q, c, a, b, w) if vec_leq(a, b) else {}
 
     f_lo, f_hi = tuple(max(0, a - s) for a, s in zip(lo, dim_s)), tuple(map(min, hi, dim_x))
     g_lo, g_hi = tuple(max(0, a - x) for a, x in zip(lo, dim_x)), tuple(map(min, hi, dim_s))
     p_x, p_ker = table(x_class, f_lo, f_hi), table(bd.x_ker, f_lo, f_hi)
     p_quot = table(bd.s_quot, tuple(map(sub, g_lo, s_vec)), tuple(map(sub, g_hi, s_vec)))
     p_s = table(s_class, g_lo, g_hi)
-    zero = PoincarePoly.zero()
-    # P(S, g) with the s_quot factor at g - dim s_im, looked up once per g
-    s_terms = {g: (pg, p_quot.get(tuple(map(sub, g, s_vec)), zero)) for g, pg in p_s.items()}
-    for f, pf in p_x.items():
-        ker_f = p_ker.get(f, zero)
+    # per g: P(S, g), the s_quot factor at g - dim s_im, and the pairing as
+    # <g, dim X> - w_g . f
+    columns = _euler_columns(q)
+    g_terms = {}
+    for g in p_s.keys() | {tuple(map(add, h, s_vec)) for h in p_quot}:
+        form = tuple(sum(map(mul, g, column)) for column in columns)
+        g_terms[g] = (p_s.get(g, 0), p_quot.get(tuple(map(sub, g, s_vec)), 0), sum(map(mul, form, dim_x)), form)
+    for f in sorted(p_x.keys() | p_ker.keys()):
+        pf, ker_f = p_x.get(f, 0), p_ker.get(f, 0)
         g_box = (range(max(a, c - x), min(b, d - x) + 1) for a, b, c, d, x in zip(g_lo, g_hi, lo, hi, f))
         for g in itertools.product(*g_box):
-            pg, quot_g = s_terms[g]
-            yield (f, g) + _stratum_rule(q, dim_x, f, g, pf * pg, ker_f * quot_g)
+            term = g_terms.get(g)
+            if term is not None:
+                pg, quot_g, base, form = term
+                pairing = base - sum(map(mul, form, f))
+                yield (f, g) + _stratum_rule(f, g, pf * pg, ker_f * quot_g, pairing, mask, w)
 
 
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
@@ -718,21 +865,23 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     Gr_f(x_ker) x Gr_{g - dim s_im}(s_quot) with an affine shift one higher
     than the Euler pairing; the i = 0 stratum covers the complement in
     Gr_f(X) x Gr_g(S).  The support pairs come from the strata walk
-    (_strata_terms) over the box [e, e]; every other split gets two zero
-    records.  Zero strata are emitted with shift normalized to 0.  More than
-    STRATA_SPLIT_BUDGET splits is a ValueError, raised before any table.
+    (_strata_terms) over the box [e, e], unpacked; every other split gets
+    two zero records.  Zero strata are emitted with shift normalized to 0.
+    More than STRATA_SPLIT_BUDGET splits is a ValueError, raised before any
+    table.
     """
     splits = math.prod(max(0, x + 1) for x in e)
     if splits > STRATA_SPLIT_BUDGET:
         raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
     terms = {term[0]: term for term in _strata_terms(bd, e, e)}
+    w = slot_width(_cover_dim(bd))
     zero = PoincarePoly.zero()
     records = []
     for f in itertools.product(*(range(x + 1) for x in e)):
         if f in terms:
             _, g, base0, shift0, base1, shift1 = terms[f]
-            records.append(StratumRecord(f, g, 0, shift0, base0))
-            records.append(StratumRecord(f, g, 1, shift1, base1))
+            records.append(StratumRecord(f, g, 0, shift0, unpack(base0, w)))
+            records.append(StratumRecord(f, g, 1, shift1, unpack(base1, w)))
         else:
             g = vec_sub(e, f)
             records.append(StratumRecord(f, g, 0, 0, zero))
@@ -740,25 +889,48 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     return tuple(records)
 
 
+def strata_sums(
+    bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """The i = 1 and the i = 0 sums of the strata tables of bd at every lo <= e <= hi, packed.
+
+    Nonzero entries only, at the slot width of dim m.  The strata walk
+    (_strata_terms) visits each support pair once and adds q^shift1 base1 to
+    the i = 1 sum and q^shift0 base0 to the i = 0 sum of e = f + g; a guard
+    bit set by any addition raises InternalCheckError.
+    """
+    dim_m = _cover_dim(bd)
+    w = slot_width(dim_m)
+    mask = guard_mask(w, dim_m)
+    sums1: dict[tuple[int, ...], int] = {}
+    sums0: dict[tuple[int, ...], int] = {}
+    for f, g, base0, shift0, base1, shift1 in _strata_terms(bd, lo, hi):
+        e = tuple(map(add, f, g))
+        for sums, term in ((sums1, base1 << w * shift1), (sums0, base0 << w * shift0)):
+            if term:
+                total = sums.get(e, 0) + term
+                if total & mask:
+                    raise _guard_error("a strata sum", e, w)
+                sums[e] = total
+    return sums1, sums0
+
+
 def strata_kernel_table(bd: BongartzData, lo=None, hi=None) -> dict[tuple[int, ...], PoincarePoly]:
     """The i = 1 sum of the strata table of bd at every lo <= e <= hi, keyed by e.
 
     The box defaults to 0 <= e <= dim m; keys run in lexicographic order,
     zeros included, as in betti_table.  Entry e equals
-    strata_sum(strata_table(bd, e), 1): the strata walk (_strata_terms) over
-    the box visits each support pair once, and its i = 1 term is added to
-    e = f + g.
+    strata_sum(strata_table(bd, e), 1): it is the i = 1 sum of strata_sums,
+    unpacked.
     """
     q = bd.quiver
     lo = (0,) * q.n if lo is None else tuple(lo)
-    hi = tuple(map(add, bd.x_class.dim(q.n), bd.s_class.dim(q.n))) if hi is None else tuple(hi)
+    hi = _cover_dim(bd) if hi is None else tuple(hi)
+    sums1, _ = strata_sums(bd, lo, hi)
+    w = slot_width(_cover_dim(bd))
     zero = PoincarePoly.zero()
-    kernels = dict.fromkeys(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))), zero)
-    for f, g, _, _, base1, shift1 in _strata_terms(bd, lo, hi):
-        if base1:
-            e = tuple(map(add, f, g))
-            kernels[e] = kernels[e] + base1.shift(shift1)
-    return kernels
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return {e: unpack(sums1[e], w) if e in sums1 else zero for e in box}
 
 
 def strata_sum(records: tuple[StratumRecord, ...], which: int | None = None) -> PoincarePoly:

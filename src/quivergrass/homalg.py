@@ -341,8 +341,16 @@ def iso_identify(f: ExplicitRep) -> RepClass:
 
 
 def subquotient_class(h: ExplicitHom, which: str) -> RepClass:
-    """Isomorphism class of the kernel, image, or cokernel of a homomorphism."""
+    """Isomorphism class of the kernel, image, or cokernel of a homomorphism.
+
+    h is validated first: a ValueError when it does not intertwine.
+    """
     h.validate()
+    return basis_subquotient_class(h, which)
+
+
+def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
+    """subquotient_class of an element of hom_basis, which hom_basis has validated."""
     q = h.source.quiver
     if which == "kernel":
         bases = [nullspace(m) for m in h.mats]

@@ -3,23 +3,36 @@
 For a degeneration m -> n the restriction map on cohomology of the quiver
 Grassmannians is surjective; at the level of graded dimensions that means
 P(n, e) dominates P(m, e) coefficientwise, and for a minimal degeneration
-the difference is exactly the i = 1 part of the strata table.  Arbitrary
-degenerations reduce to chains of covers.  Every route checks a cover with
-one function (_cover_rows) over a box of e, from the i = 1 strata sums and
-the Betti tables of m and n: verify_theorem over 0 <= e <= d,
-check_degeneration over [e, e] at each chain link.  The semisimple class
-tops every poset, so every P(m, e) is dominated by a product of Gaussian
-binomials.
+the difference is exactly the i = 1 part of the strata table, while P(m, e)
+is its i = 0 part.  Arbitrary degenerations reduce to chains of covers.
+Every route checks a cover with one function (_cover_rows) over a box of
+e, from the packed strata sums and the packed Betti tables of m and n at
+the slot width of their common dimension vector: verify_theorem over
+0 <= e <= d, check_degeneration over [e, e] at each chain link.  The
+semisimple class tops every poset, so every P(m, e) is dominated by a
+product of Gaussian binomials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 from .degen import bongartz_data, degeneration_poset, hom_leq, local_covers
-from .grass import PoincarePoly, betti_recursion, betti_table, gaussian_binomial, strata_kernel_table
+from .grass import (
+    PoincarePoly,
+    betti_recursion,
+    gaussian_binomial,
+    guard_mask,
+    pack,
+    packed_betti_table,
+    packed_leq,
+    slot_width,
+    strata_sums,
+    unpack,
+)
 from .quiver import (
     InternalCheckError,
     Interval,
@@ -32,7 +45,11 @@ from .quiver import (
 
 @dataclass(frozen=True)
 class CoverCheck:
-    """One minimal degeneration m -> n probed at subdimension e."""
+    """One minimal degeneration m -> n probed at subdimension e.
+
+    kernel is p_n - p_m; identity_ok holds both strata identities, the
+    kernel against the i = 1 sum and p_m against the i = 0 sum.
+    """
 
     m: RepClass
     n: RepClass
@@ -61,18 +78,32 @@ class SpecializationReport:
 def _cover_rows(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]:
     """(e, kernel, monotone, identity_ok) of the cover m -> n at every lo <= e <= hi.
 
-    kernel = P(n, e) - P(m, e), monotone is P(m, e) <= P(n, e) and
-    identity_ok is kernel == the i = 1 strata sum, in lexicographic e order.
-    args is the picklable tuple (q, m, n, lo, hi), one pool task.
+    kernel = P(n, e) - P(m, e), monotone is P(m, e) <= P(n, e), and
+    identity_ok holds both strata identities: the kernel equals the i = 1
+    strata sum and P(m, e) the i = 0 sum; rows run in lexicographic e order.
+    The polynomials stay packed at the slot width of dim m: monotone is one
+    packed_leq, and when it holds the identities are int equalities.  Only
+    the kernel is unpacked, for the report; when monotone fails it is
+    computed unpacked.  args is the picklable tuple (q, m, n, lo, hi), one
+    pool task.
     """
     q, m, n, lo, hi = args
-    strata_kernels = strata_kernel_table(bongartz_data(q, m, n), lo, hi)
-    table_m, table_n = betti_table(q, m, lo, hi), betti_table(q, n, lo, hi)
+    lo, hi = tuple(lo), tuple(hi)
+    d = m.dim(q.n)
+    w = slot_width(d)
+    mask = guard_mask(w, d)
+    sums1, sums0 = strata_sums(bongartz_data(q, m, n), lo, hi)
+    table_m, table_n = packed_betti_table(q, m, lo, hi, w), packed_betti_table(q, n, lo, hi, w)
     out = []
-    for e, strata_kernel in strata_kernels.items():
-        p_n, p_m = table_n[e], table_m[e]
-        kernel = p_n - p_m
-        out.append((e, kernel, p_m.leq(p_n), kernel == strata_kernel))
+    for e in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        p_m, p_n = table_m.get(e, 0), table_n.get(e, 0)
+        zero_ok = p_m == sums0.get(e, 0)
+        if packed_leq(p_m, p_n, mask):
+            kernel = p_n - p_m
+            out.append((e, unpack(kernel, w), True, zero_ok and kernel == sums1.get(e, 0)))
+        else:
+            kernel = unpack(p_n, w) - unpack(p_m, w)
+            out.append((e, kernel, False, zero_ok and kernel == unpack(sums1.get(e, 0), w)))
     return out
 
 
@@ -173,19 +204,22 @@ def verify_theorem(
             if not identity_ok:
                 failures.append(f"kernel identity fails: {m} -> {n} at e={e}")
     top = semisimple_class(q, d)
+    # the product bounds, packed once at the sweep's slot width
+    w = slot_width(d)
+    mask = guard_mask(w, d)
     bounds = []
     for e in es:
-        bound = PoincarePoly.one()
+        bound = 1
         for dv, ev in zip(d, e):
-            bound = bound * gaussian_binomial(dv, ev)
+            bound *= pack(gaussian_binomial(dv, ev), w)
         bounds.append(bound)
     bound_checks = 0
     for node in poset.nodes:
-        table = betti_table(q, node)
+        table = packed_betti_table(q, node, (0,) * q.n, d, w)
         for e, bound in zip(es, bounds):
             bound_checks += 1
-            value = table[e]
-            if not value.leq(bound):
+            value = table.get(e, 0)
+            if not packed_leq(value, bound, mask):
                 failures.append(f"Grassmannian-product bound fails: {node} at e={e}")
             if node == top and value != bound:
                 failures.append(f"semisimple class misses the product bound at e={e}")

@@ -6,9 +6,11 @@ vectors, exhaustive subdimensions.
 """
 
 import itertools
+import json
 import time
 from functools import cache
 
+from quivergrass import cli
 from quivergrass.cli import parse_rep
 from quivergrass.degen import bongartz_data, boundary_check, degeneration_poset
 from quivergrass.grass import (
@@ -253,3 +255,18 @@ def test_criterion_7_structural_invariants():
         f"peel {peel_pairs}, hereditary {hereditary} ({explicit_checked} explicit), "
         f"AR {ar_pairs}, parse {parsed}, {time.monotonic() - start:.1f}s",
     )
+
+
+def test_criterion_8_pbw_nine_median_genocchi(tmp_path):
+    # the PBW-degenerate flag variety of SL_10: its Euler characteristic is
+    # the normalized median Genocchi number h_10, through the whole pbw route
+    from test_specialize import normalized_median_genocchi
+
+    start = time.monotonic()
+    path = tmp_path / "pbw9.json"
+    code = cli.main(["pbw", "--n", "9", "--i", "1,2,3,4,5,6,7,8", "--json", str(path)])
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    euler = sum(payload["p_rep"]["coefficients"])
+    ok = code == 0 and payload["monotone"] and payload["identity_ok"]
+    ok = ok and euler == normalized_median_genocchi(10) == 391888514
+    _report("8 pbw n=9 median Genocchi", ok, f"p_rep(1) = {euler}, {time.monotonic() - start:.1f}s")

@@ -501,15 +501,30 @@ def test_cli_strata_refuses_non_cover_before_any_table(monkeypatch, capsys, m, n
     def refuse(*args, **kwargs):
         raise AssertionError("a Betti or strata table was built before the cover check")
 
-    for module in (grass, specialize):
-        monkeypatch.setattr(module, "betti_table", refuse)
-        monkeypatch.setattr(module, "strata_kernel_table", refuse)
+    for name in ("betti_table", "strata_kernel_table", "packed_betti_table", "strata_sums"):
+        monkeypatch.setattr(grass, name, refuse)
+    for name in ("packed_betti_table", "strata_sums"):
+        monkeypatch.setattr(specialize, name, refuse)
     for module in (grass, cli):
         monkeypatch.setattr(module, "strata_table", refuse)
     code, out, err = run_cli(capsys, "strata", "--quiver", "A3:FF", "--m", m, "--n", n, "--sub", "1,0,0")
     assert (code, out) == (2, "")
     message = f"({m}, {n}) is not a cover; chain has {links} links"
     assert err == json.dumps({"error": {"type": "usage", "message": message}}) + "\n"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path, capsys):
+    parser = cli.build_parser()
+    path = tmp_path / "betti.json"
+    argv = ["betti", "--quiver", "A2:F", "--rep", "[1,2],[2,2]", "--sub", "1,1"]
+    assert main(argv + ["--method", "recursion", "--json", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    # neither --json nor --method carries over into the next call
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and cli.build_parser() is parser
+    payload = json.loads(out)
+    assert payload["method"] == "both" and payload["match"] is True
+    assert payload["coefficients"] == json.loads(path.read_text())["coefficients"]
 
 
 def test_cli_help_is_plain_usage(capsys):

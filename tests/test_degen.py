@@ -252,6 +252,24 @@ def test_boundary_check_catches_wrong_boundary_classes():
     assert checked > 0
 
 
+def test_boundary_check_validates_each_unique_hom_once(monkeypatch):
+    # hom_basis validates the two unique maps; reading their kernel, image
+    # and cokernel must not validate them again
+    from quivergrass.homalg import ExplicitHom
+
+    validated = []
+    real = ExplicitHom.validate
+
+    def recording(hom):
+        validated.append(hom)
+        return real(hom)
+
+    monkeypatch.setattr(ExplicitHom, "validate", recording)
+    bd = bongartz_data(A3, cls((1, 2), (3, 3)), cls((1, 1), (2, 2), (3, 3)))
+    assert boundary_check.__wrapped__(bd)
+    assert len(validated) == len(set(map(id, validated))) == 2
+
+
 def test_bongartz_split_with_repeated_simple_classes():
     # common contains copies of both the x1 and s1 interval classes; the
     # valid split must send the s1-copy to the x side and vice versa

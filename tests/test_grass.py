@@ -791,25 +791,58 @@ def test_strata_negative_complement_raises(monkeypatch):
         strata_kernel_table(bad)
 
 
+@given(st.lists(st.integers(0, 127), max_size=6), st.lists(st.integers(0, 127), max_size=6), st.integers(0, 3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_packed_polynomials_match_poincare_polys(a, b, k):
+    # slots of 32 bits, 10 of them under the guard mask of (4, 4, 2)
+    w, mask = 32, grass.guard_mask(32, (4, 4, 2))
+    pa, pb = PoincarePoly.from_coeffs(a), PoincarePoly.from_coeffs(b)
+    packed_a, packed_b = grass.pack(pa, w), grass.pack(pb, w)
+    assert grass.unpack(packed_a, w) == pa
+    assert grass.unpack(packed_a + packed_b, w) == pa + pb
+    assert grass.unpack(packed_a * packed_b, w) == pa * pb
+    assert grass.unpack(packed_a << w * k, w) == pa.shift(k)
+    assert grass.packed_leq(packed_a, packed_b, mask) == pa.leq(pb)
+    assert grass.packed_leq(packed_a << w * k, packed_a + (packed_b << w * k), mask) == pa.shift(k).leq(pa + pb.shift(k))
+
+
+def test_pack_refuses_a_coefficient_at_the_guard_bit():
+    assert grass.pack(poly(127, 0, 5), 8) == 127 + (5 << 16)
+    for bad in (poly(128), poly(1, -1)):
+        with pytest.raises(InternalCheckError, match="sets a guard bit at slot width 8"):
+            grass.pack(bad, 8)
+
+
+def test_stratum_rule_compares_slot_by_slot():
+    # base1 = q is below the product 1 + q^2 as an int, but not in slot 1
+    w, mask = 8, grass.guard_mask(8, (2, 2))
+    product = grass.pack(poly(1, 0, 1), w)
+    with pytest.raises(InternalCheckError, match=r"negative count at f=\(0, 0\), g=\(1, 1\): 1 - q \+ q\^2"):
+        grass._stratum_rule((0, 0), (1, 1), product, grass.pack(poly(0, 1), w), 0, mask, w)
+    assert grass._stratum_rule((0, 0), (1, 1), product, 1, 2, mask, w) == (grass.pack(poly(0, 0, 1), w), 2, 1, 3)
+
+
 def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
+    """Every packed table of a sweep lies inside 0 <= e <= dim m and uses the
+    sweep's one slot width."""
     from quivergrass import specialize
 
     boxes = []
-    real = grass.betti_table
+    real = grass.packed_betti_table
 
-    def recording(q, m, lo=None, hi=None, **kwargs):
-        d = m.dim(q.n)
-        boxes.append((q, m, (0,) * q.n if lo is None else lo, d if hi is None else hi))
-        return real(q, m, lo, hi, **kwargs)
+    def recording(q, m, lo, hi, w, **kwargs):
+        boxes.append((q, m, lo, hi, w))
+        return real(q, m, lo, hi, w, **kwargs)
 
-    monkeypatch.setattr(grass, "betti_table", recording)
-    monkeypatch.setattr(specialize, "betti_table", recording)
+    monkeypatch.setattr(grass, "packed_betti_table", recording)
+    monkeypatch.setattr(specialize, "packed_betti_table", recording)
     for q in all_quivers(3):
         if q.n == 3:
             assert not specialize.verify_theorem(q, (2, 2, 2)).failures
     assert boxes
-    for q, m, lo, hi in boxes:
+    for q, m, lo, hi, w in boxes:
         assert all(0 <= a <= b for a, b in zip(lo, hi)) and vec_leq(hi, m.dim(q.n)), (q.label(), str(m), lo, hi)
+        assert w == grass.slot_width((2, 2, 2)), (q.label(), str(m), w)
 
 
 def test_verify_runs_each_cover_check_once(monkeypatch):
@@ -824,9 +857,9 @@ def test_verify_runs_each_cover_check_once(monkeypatch):
         checked.append(bd)
         return real_check(bd)
 
-    def recording_rule(q, dim_x, f, g, product, base1):
+    def recording_rule(f, g, *args):
         pairs.append((f, g))
-        return real_rule(q, dim_x, f, g, product, base1)
+        return real_rule(f, g, *args)
 
     monkeypatch.setattr(grass, "boundary_check", recording_check)
     monkeypatch.setattr(grass, "_stratum_rule", recording_rule)

@@ -319,6 +319,15 @@ def test_subquotient_examples():
         subquotient_class(ident, "corner")
 
 
+def test_subquotient_class_rejects_a_non_intertwining_hom():
+    u = explicit_of(A2, cls((1, 2)))
+    ident = hom_basis(u, u)[0]
+    broken = ExplicitHom(u, u, (ident.mats[0], Mat.from_rows([[0]], ncols=1)))
+    for which in ("kernel", "image", "cokernel"):
+        with pytest.raises(ValueError, match="intertwining fails"):
+            subquotient_class(broken, which)
+
+
 def test_middle_term_examples():
     assert middle_term(A2, Interval(2, 2), Interval(1, 1)) == cls((1, 2))
     assert middle_term(A3, Interval(3, 3), Interval(1, 2)) == cls((1, 3))

@@ -332,18 +332,55 @@ def test_chain_route_builds_no_stratum_records(monkeypatch, capsys):
         assert not link.kernel and link.monotone and link.identity_ok, e
 
 
+def normalized_median_genocchi(j):
+    """h_j = B_(j+1)(1) / 2^j, for B_1 = 1 and B_(i+1)(x) = (x+1)((x+1) B_i(x+1) - x B_i(x)).
+
+    B_i(1) runs through the median Genocchi numbers 1, 2, 8, 56, 608, ...
+    (Dumont, Randrianarivony 1994), and h_(k+1) is the Euler characteristic
+    of the PBW-degenerate flag variety of SL_(k+1) (Feigin 2011).  The
+    polynomials are lists of integer coefficients, lowest degree first.
+    """
+    b = [1]
+    for _ in range(j):
+        shifted = [0] * len(b)  # B(x + 1), by binomial expansion
+        for i, c in enumerate(b):
+            for k in range(i + 1):
+                shifted[k] += math.comb(i, k) * c
+        inner = [a + c - d for a, c, d in zip([0] + shifted, shifted + [0], [0] + b)]
+        b = [a + c for a, c in zip([0] + inner, inner + [0])]
+    h, remainder = divmod(sum(b), 2**j)
+    assert remainder == 0
+    return h
+
+
+def test_normalized_median_genocchi_values():
+    # Feigin's table; h_10 was first reached here by pbw --n 9
+    assert [normalized_median_genocchi(j) for j in range(1, 11)] == [
+        1, 2, 7, 38, 295, 3098, 42271, 726734, 15366679, 391888514
+    ]
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_pbw_full_flag_euler_characteristics(k):
     # at q = 1, P(pbw class) is the Euler characteristic of the PBW-degenerate
-    # flag variety of SL_(k+1), the median Genocchi number (Feigin 2011), and
+    # flag variety of SL_(k+1), the median Genocchi number h_(k+1), and
     # P(flag) that of the flag variety, (k+1)!
     q = TypeAQuiver(k, "F" * (k - 1))
     rep, _, e = pbw_rep(k, tuple(range(1, k)))
     report = check_degeneration(q, RepClass.from_pairs([(Interval(1, k), k + 1)]), rep, e)
-    median_genocchi = {2: 7, 3: 38, 4: 295, 5: 3098, 6: 42271}[k]
+    median_genocchi = normalized_median_genocchi(k + 1)
     assert (report.p_n.eval_at(1), report.p_m.eval_at(1)) == (median_genocchi, math.factorial(k + 1))
     assert len(report.p_n.coeffs) - 1 == len(report.p_m.coeffs) - 1 == k * (k + 1) // 2
     assert report.monotone and report.identity_ok
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_pbw_rep_euler_characteristic_by_recursion(k):
+    # the Betti recursion alone, without the chain check, on the two flags
+    # past the chain test above
+    q = TypeAQuiver(k, "F" * (k - 1))
+    rep, _, e = pbw_rep(k, tuple(range(1, k)))
+    assert betti_recursion(q, rep, e).eval_at(1) == normalized_median_genocchi(k + 1)
 
 
 def test_integral_checks_build_no_fraction(monkeypatch):
