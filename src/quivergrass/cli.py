@@ -132,6 +132,14 @@ def _nested(value, level: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
+def _int_list(values, level: int) -> str:
+    """A list of ints as json.dumps(indent=2) lays it out nested level deep."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(map(str, values)) + "\n" + "  " * level + "]"
+
+
 def _write_array(write, items) -> None:
     """Write pre-rendered items at depth 2 as the array at depth 1 that holds them."""
     sep = "[\n    "
@@ -147,11 +155,15 @@ def _write_verify(write, summary: VerifySummary) -> None:
     The payload has the keys checks (one per cover and e), counts, covers,
     dim, failures, nonzero_kernels, quiver and sub, written in that (sorted)
     order without building the payload or its text.  Each class text,
-    e-vector and kernel is rendered once per call.
+    e-vector and kernel is rendered once per call, the int lists and the
+    kernel objects directly and the strings by json.dumps.
     """
     text = cache(lambda m: json.dumps(m.text()))
-    vec = cache(lambda e: _nested(list(e), 3))
-    poly = cache(lambda p: _nested(_poly_json(p), 3))
+    vec = cache(lambda e: _int_list(e, 3))
+    poly = cache(
+        lambda p: f'{{\n        "coefficients": {_int_list(p.coeffs, 4)},'
+        f'\n        "pretty": {json.dumps(p.pretty())}\n      }}'
+    )
 
     def item(m, n, e, kernel, is_check):
         kind = '\n      "kind": "cover",' if is_check else ""
@@ -171,7 +183,7 @@ def _write_verify(write, summary: VerifySummary) -> None:
     _write_array(write, (item(m, n, e, kernel, True) for m, n, e, kernel in summary.kernels))
     write(f',\n  "counts": {_nested(counts, 1)},\n  "covers": ')
     _write_array(write, (f"[\n      {text(m)},\n      {text(n)}\n    ]" for m, n in covers))
-    write(f',\n  "dim": {_nested(list(summary.d), 1)},\n  "failures": {_nested(list(summary.failures), 1)}')
+    write(f',\n  "dim": {_int_list(summary.d, 1)},\n  "failures": {_nested(list(summary.failures), 1)}')
     write(',\n  "nonzero_kernels": ')
     _write_array(write, (item(m, n, e, kernel, False) for m, n, e, kernel in summary.kernels if kernel))
     write(f',\n  "quiver": {json.dumps(summary.quiver.label())},\n  "sub": null\n}}\n')

@@ -275,7 +275,9 @@ def boundary_check(bd: BongartzData) -> bool:
     image and cokernel of the unique map tau^-(x1 + x_rest) -> s1 + s_rest.
     Both maps come from hom_basis, which validates them, so their
     subquotients are read without validating again
-    (basis_subquotient_class).  Raises InternalCheckError on any failure.
+    (basis_subquotient_class), each identified per support component.
+    Raises InternalCheckError on any failure, a ValueError of the explicit
+    route included.
     """
     q = bd.quiver
     if bd.x_rest.union(bd.s_rest) != bd.common:
@@ -290,17 +292,20 @@ def boundary_check(bd: BongartzData) -> bool:
     if ext_dim(q, bd.s_rest, cls_s1) != 0:
         raise InternalCheckError("Ext^1(s_rest, s1) != 0")
 
-    tau_s = tau_class(q, s_class)
-    kernel = basis_subquotient_class(_unique_hom(q, x_class, tau_s), "kernel")
+    # the explicit route runs on classes that bongartz_data built, so a
+    # ValueError inside it (a negative multiplicity, an inconsistent
+    # restriction) is a fault of the program, not of the input
+    try:
+        kernel = basis_subquotient_class(_unique_hom(q, x_class, tau_class(q, s_class)), "kernel")
+        into_s = _unique_hom(q, tau_class(q, x_class, "inverse"), s_class)
+        image = basis_subquotient_class(into_s, "image")
+        cokernel = basis_subquotient_class(into_s, "cokernel")
+    except ValueError as exc:
+        raise InternalCheckError(f"explicit boundary route fails: {exc}") from exc
     if kernel != bd.x_ker:
         raise InternalCheckError(f"Ker(X -> tau S) = {kernel}, stored {bd.x_ker}")
-
-    tau_inv_x = tau_class(q, x_class, "inverse")
-    into_s = _unique_hom(q, tau_inv_x, s_class)
-    image = basis_subquotient_class(into_s, "image")
     if image != bd.s_im:
         raise InternalCheckError(f"Im(tau^- X -> S) = {image}, stored {bd.s_im}")
-    cokernel = basis_subquotient_class(into_s, "cokernel")
     if cokernel != bd.s_quot:
         raise InternalCheckError(f"S / Im = {cokernel}, stored {bd.s_quot}")
     if not vec_leq(bd.s_im.dim(q.n), cls_s1.dim(q.n)):

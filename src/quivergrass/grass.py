@@ -781,6 +781,12 @@ def _cover_dim(bd: BongartzData) -> tuple[int, ...]:
     return tuple(map(add, bd.middle.dim(q.n), bd.common.dim(q.n)))
 
 
+def cover_slots(d: tuple[int, ...]) -> tuple[int, int]:
+    """(slot_width(d), guard_mask of it): the packing of one cover check of dimension vector d."""
+    w = slot_width(d)
+    return w, guard_mask(w, d)
+
+
 def _stratum_rule(f, g, product: int, base1: int, pairing: int, mask: int, w: int):
     """Packed (base0, shift0, base1, shift1) of the split f + g.
 
@@ -806,7 +812,7 @@ def _stratum_rule(f, g, product: int, base1: int, pairing: int, mask: int, w: in
     return base0, shift0, base1, shift1
 
 
-def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
+def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...], slots: tuple[int, int]):
     """Packed terms (f, g, base0, shift0, base1, shift1) of the support pairs with lo <= f + g <= hi.
 
     The support pairs are the f in the support of P(X) or P(x_ker) and the g
@@ -814,11 +820,12 @@ def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
     lexicographic (f, g) order: elsewhere both P(X, f) P(S, g) and the i = 1
     base P(x_ker, f) P(s_quot, g - dim s_im) are 0.  Each class is read from
     one packed Betti table over the part of the box it can reach, clamped to
-    0 <= . <= its dimension, at the slot width of dim m = dim X + dim S.
-    For each f the walk runs over the g box lo - f <= g <= hi - f and skips
-    the g outside the support.  The pairing <g, dim X - f> is read from the
-    linear form of g (_euler_columns), formed once per g.  boundary_check runs
-    once, at the start of the walk.
+    0 <= . <= its dimension, at the slot width of dim m = dim X + dim S;
+    slots is cover_slots(dim m), computed once per cover by the caller.  For
+    each f the walk runs over the g box lo - f <= g <= hi - f and skips the
+    g outside the support.  The pairing <g, dim X - f> is read from the
+    linear form of g (_euler_columns), formed once per g.  boundary_check
+    runs once, at the start of the walk.
     """
     q = bd.quiver
     if len(lo) != q.n or len(hi) != q.n:
@@ -827,9 +834,7 @@ def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]):
     x_class, s_class = bd.x_class, bd.s_class
     dim_x, dim_s = x_class.dim(q.n), s_class.dim(q.n)
     s_vec = bd.s_im.dim(q.n)
-    dim_m = _cover_dim(bd)
-    w = slot_width(dim_m)
-    mask = guard_mask(w, dim_m)
+    w, mask = slots
 
     def table(c: RepClass, a, b) -> Mapping[tuple[int, ...], int]:
         a, b = tuple(max(0, x) for x in a), tuple(map(min, b, c.dim(q.n)))
@@ -873,8 +878,9 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     splits = math.prod(max(0, x + 1) for x in e)
     if splits > STRATA_SPLIT_BUDGET:
         raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
-    terms = {term[0]: term for term in _strata_terms(bd, e, e)}
-    w = slot_width(_cover_dim(bd))
+    slots = cover_slots(_cover_dim(bd))
+    terms = {term[0]: term for term in _strata_terms(bd, e, e, slots)}
+    w = slots[0]
     zero = PoincarePoly.zero()
     records = []
     for f in itertools.product(*(range(x + 1) for x in e)):
@@ -890,21 +896,21 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
 
 
 def strata_sums(
-    bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...]
+    bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...], slots=None
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """The i = 1 and the i = 0 sums of the strata tables of bd at every lo <= e <= hi, packed.
 
-    Nonzero entries only, at the slot width of dim m.  The strata walk
+    Nonzero entries only, at the slot width of dim m; slots is
+    cover_slots(dim m), computed here when not given.  The strata walk
     (_strata_terms) visits each support pair once and adds q^shift1 base1 to
     the i = 1 sum and q^shift0 base0 to the i = 0 sum of e = f + g; a guard
     bit set by any addition raises InternalCheckError.
     """
-    dim_m = _cover_dim(bd)
-    w = slot_width(dim_m)
-    mask = guard_mask(w, dim_m)
+    slots = slots or cover_slots(_cover_dim(bd))
+    w, mask = slots
     sums1: dict[tuple[int, ...], int] = {}
     sums0: dict[tuple[int, ...], int] = {}
-    for f, g, base0, shift0, base1, shift1 in _strata_terms(bd, lo, hi):
+    for f, g, base0, shift0, base1, shift1 in _strata_terms(bd, lo, hi, slots):
         e = tuple(map(add, f, g))
         for sums, term in ((sums1, base1 << w * shift1), (sums0, base0 << w * shift0)):
             if term:
@@ -925,9 +931,11 @@ def strata_kernel_table(bd: BongartzData, lo=None, hi=None) -> dict[tuple[int, .
     """
     q = bd.quiver
     lo = (0,) * q.n if lo is None else tuple(lo)
-    hi = _cover_dim(bd) if hi is None else tuple(hi)
-    sums1, _ = strata_sums(bd, lo, hi)
-    w = slot_width(_cover_dim(bd))
+    dim_m = _cover_dim(bd)
+    hi = dim_m if hi is None else tuple(hi)
+    slots = cover_slots(dim_m)
+    sums1, _ = strata_sums(bd, lo, hi, slots)
+    w = slots[0]
     zero = PoincarePoly.zero()
     box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     return {e: unpack(sums1[e], w) if e in sums1 else zero for e in box}

@@ -12,7 +12,11 @@ The middle term of a non-split extension of interval modules with a
 one-dimensional Ext space is the endpoint swap of the two intervals,
 certified against the Hom table; hom_basis, iso_identify and
 subquotient_class are the explicit route that tests and boundary checks
-compare it with.
+compare it with.  That route works on the support of what it computes:
+iso_identify splits a representation at its zero vertices and identifies
+each support component on its own sub-quiver, and a zero block of a
+homomorphism has its kernel, image and cokernel read off without
+elimination.
 """
 
 from __future__ import annotations
@@ -149,23 +153,25 @@ class ExplicitHom:
 
 
 def hom_basis(f: ExplicitRep, g: ExplicitRep) -> tuple[ExplicitHom, ...]:
-    """A basis of the intertwiner space, exact and deterministic."""
+    """A basis of the intertwiner space, exact and deterministic.
+
+    A system with no equations has every unknown free, and one with no
+    unknowns has no solution but 0, so neither is eliminated.
+    """
     if f.quiver != g.quiver:
         raise ValueError("representations live on different quivers")
     q = f.quiver
     system, offsets = _intertwiner_matrix(f, g)
-    kernel = nullspace(system)
+    kernel = nullspace(system) if system.nrows and system.ncols else Mat.identity(system.ncols)
     out = []
     for j in range(kernel.ncols):
         vec = kernel.col(j)
         mats = []
         for v in range(q.n):
+            # the null vector's entries are in normal form: no re-coercion
             gv, fv = g.dims[v], f.dims[v]
             base = offsets[v]
-            mats.append(Mat.from_rows(
-                [[vec[base + i * fv + jj] for jj in range(fv)] for i in range(gv)],
-                ncols=fv,
-            ))
+            mats.append(Mat(gv, fv, tuple(vec[base + i * fv : base + (i + 1) * fv] for i in range(gv))))
         hom = ExplicitHom(f, g, tuple(mats))
         hom.validate()
         out.append(hom)
@@ -323,9 +329,37 @@ def _hom_table_inverse(q: TypeAQuiver) -> tuple[tuple[int, ...], ...]:
 def iso_identify(f: ExplicitRep) -> RepClass:
     """The multiset of intervals with the same Hom counts as f.
 
+    The arrows at a vertex v with dim f_v = 0 are zero maps, so f is the
+    direct sum of its restrictions to the maximal runs of vertices where it
+    is nonzero, and every interval summand lies inside one run.  Each run
+    c..e is identified on its own sub-quiver TypeAQuiver(e - c + 1,
+    orient[c - 1 : e - 1]) (_identify_run), and its intervals are shifted
+    back by c - 1.
+    """
+    q = f.quiver
+    dims = f.dims
+    pairs = []
+    v = 0
+    while v < q.n:
+        if not dims[v]:
+            v += 1
+            continue
+        c = v
+        while v < q.n and dims[v]:
+            v += 1
+        if c == 0 and v == q.n:
+            return _identify_run(f)
+        run = ExplicitRep(TypeAQuiver(v - c, q.orient[c : v - 1]), dims[c:v], f.mats[c : v - 1])
+        pairs += [(Interval(u.a + c, u.b + c), k) for u, k in _identify_run(run).pairs]
+    return RepClass(tuple(pairs))
+
+
+def _identify_run(f: ExplicitRep) -> RepClass:
+    """iso_identify of an f that is nonzero at every vertex.
+
     The multiplicities solve the interval-indexed system [U, m] = [U, f],
     read off as the inverse Hom table times the counts; a finite-type class
-    is determined by these counts.
+    is determined by these counts.  A negative multiplicity is a ValueError.
     """
     q = f.quiver
     intervals = intervals_of(q)
@@ -349,24 +383,37 @@ def subquotient_class(h: ExplicitHom, which: str) -> RepClass:
     return basis_subquotient_class(h, which)
 
 
+def _is_zero(m: Mat) -> bool:
+    return not any(map(any, m.rows))
+
+
 def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
-    """subquotient_class of an element of hom_basis, which hom_basis has validated."""
+    """subquotient_class of an element of hom_basis, which hom_basis has validated.
+
+    A zero or empty block needs no elimination: its kernel basis is the
+    identity, its image basis is empty and its cokernel projection is the
+    identity.  The restricted arrow maps are solved for only between two
+    vertices where the subquotient is nonzero; every other one has an empty
+    side.
+    """
     q = h.source.quiver
     if which == "kernel":
-        bases = [nullspace(m) for m in h.mats]
+        bases = [Mat.identity(m.ncols) if _is_zero(m) else nullspace(m) for m in h.mats]
         ambient = h.source
     elif which == "image":
-        bases = [column_space(m) for m in h.mats]
+        bases = [Mat(m.nrows, 0, ((),) * m.nrows) if _is_zero(m) else column_space(m) for m in h.mats]
         ambient = h.target
     elif which == "cokernel":
-        projections = [left_nullspace(m) for m in h.mats]
+        projections = [Mat.identity(m.nrows) if _is_zero(m) else left_nullspace(m) for m in h.mats]
         dims = tuple(p.nrows for p in projections)
         mats = []
         for k in range(q.n - 1):
             s, t = q.edge(k)
-            rhs = projections[t - 1].mul(h.target.mats[k])
-            x_t = solve(projections[s - 1].transpose(), rhs.transpose())
-            mats.append(x_t.transpose())
+            if dims[s - 1] and dims[t - 1]:
+                rhs = projections[t - 1].mul(h.target.mats[k])
+                mats.append(solve(projections[s - 1].transpose(), rhs.transpose()).transpose())
+            else:
+                mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
         return iso_identify(ExplicitRep(q, dims, tuple(mats)))
     else:
         raise ValueError(f"which must be kernel/image/cokernel, got {which!r}")
@@ -374,7 +421,10 @@ def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
     mats = []
     for k in range(q.n - 1):
         s, t = q.edge(k)
-        mats.append(solve(bases[t - 1], ambient.mats[k].mul(bases[s - 1])))
+        if dims[s - 1] and dims[t - 1]:
+            mats.append(solve(bases[t - 1], ambient.mats[k].mul(bases[s - 1])))
+        else:
+            mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
     return iso_identify(ExplicitRep(q, dims, tuple(mats)))
 
 

@@ -24,6 +24,7 @@ from .degen import bongartz_data, degeneration_poset, hom_leq, local_covers
 from .grass import (
     PoincarePoly,
     betti_recursion,
+    cover_slots,
     gaussian_binomial,
     guard_mask,
     pack,
@@ -89,10 +90,9 @@ def _cover_rows(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]:
     """
     q, m, n, lo, hi = args
     lo, hi = tuple(lo), tuple(hi)
-    d = m.dim(q.n)
-    w = slot_width(d)
-    mask = guard_mask(w, d)
-    sums1, sums0 = strata_sums(bongartz_data(q, m, n), lo, hi)
+    slots = cover_slots(m.dim(q.n))
+    w, mask = slots
+    sums1, sums0 = strata_sums(bongartz_data(q, m, n), lo, hi, slots)
     table_m, table_n = packed_betti_table(q, m, lo, hi, w), packed_betti_table(q, n, lo, hi, w)
     out = []
     for e in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):

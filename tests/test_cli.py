@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass import cli, grass, specialize
+from quivergrass import cli, degen, grass, homalg, specialize
 from quivergrass.cli import UsageError, _poly_json, main, parse_quiver, parse_rep, parse_vec
 from quivergrass.quiver import Interval, RepClass, TypeAQuiver
 
@@ -177,17 +177,16 @@ def reference_verify_payload(q, d, summary):
     }
 
 
-def streamed_and_reference(monkeypatch, capsys, label, d, failures=None):
+def streamed_and_reference(monkeypatch, capsys, label, d, **changes):
     """The stdout of verify on (label, d) and the reference bytes of the summary it wrote.
 
-    With failures given, the summary's failures are replaced by them first.
+    With changes given (failures, kernels), those fields of the summary are
+    replaced first.
     """
     summaries = []
 
     def recording(q, d, jobs):
-        summary = specialize.verify_theorem(q, d, jobs=jobs)
-        if failures is not None:
-            summary = dataclasses.replace(summary, failures=failures)
+        summary = dataclasses.replace(specialize.verify_theorem(q, d, jobs=jobs), **changes)
         summaries.append(summary)
         return summary
 
@@ -213,6 +212,13 @@ def test_cli_verify_streams_the_reference_bytes(monkeypatch, capsys):
         assert same, (label, d)
         if (label, d) == ("A1:", (0,)):
             assert summary.covers == 0 and '"checks": []' in out
+    # kernels with negative and multi-digit coefficients, and with none
+    real = specialize.verify_theorem(parse_quiver("A2:F"), (1, 1), jobs=1).kernels
+    odd = (grass.PoincarePoly((-3, 0, 12, -1)), grass.PoincarePoly.zero(), grass.PoincarePoly((-1,)))
+    kernels = tuple((m, n, e, odd[i % 3]) for i, (m, n, e, _) in enumerate(real))
+    summary, out, expected = streamed_and_reference(monkeypatch, capsys, "A2:F", (1, 1), kernels=kernels)
+    assert summary.kernels == kernels and out == expected
+    assert '"coefficients": [],' in out and '"pretty": "-3 + 12q^2 - q^3"' in out
 
 
 def test_cli_verify_streams_awkward_failure_strings(monkeypatch, capsys):
@@ -221,7 +227,7 @@ def test_cli_verify_streams_awkward_failure_strings(monkeypatch, capsys):
         "kernel identity fails: \u00e9\u00e8 \u2264 \U0001d54f at e=(0, 1)",
         "a tab\tand a newline\n in one line",
     )
-    summary, out, expected = streamed_and_reference(monkeypatch, capsys, "A2:F", (1, 1), failures)
+    summary, out, expected = streamed_and_reference(monkeypatch, capsys, "A2:F", (1, 1), failures=failures)
     assert summary.failures == failures
     assert out == expected
     assert json.loads(out)["failures"] == list(failures)
@@ -492,6 +498,26 @@ def test_cli_pbw_internal_check(monkeypatch, capsys):
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "internal-check" and "does not degenerate" in error["message"]
+
+
+def test_cli_verify_reports_a_fault_of_the_explicit_route_as_internal(monkeypatch, capsys):
+    # Hom counts read with the wrong sign make iso_identify solve to a
+    # negative multiplicity inside boundary_check: a fault of the program,
+    # not of the input, so exit 1 and internal-check, not exit 2 and value
+    for q in (parse_quiver(label) for label in ("A1", "A2:F", "A2:B", "A3:FF")):
+        homalg.hom_table(q)  # built from correct counts before the fault
+    real = homalg.interval_hom_dim
+    degen.boundary_check.cache_clear()
+    monkeypatch.setattr(homalg, "interval_hom_dim", lambda u, g: -real(u, g))
+    try:
+        code, out, err = run_cli(capsys, "verify", "--quiver", "A3:FF", "--dim", "1,1,1", "--jobs", "1")
+    finally:
+        degen.boundary_check.cache_clear()
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "internal-check"
+    assert error["message"].startswith("explicit boundary route fails: multiplicity of [")
+    assert "solves to -" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quivergrass import degen
+from quivergrass import degen, homalg, linalg
 from quivergrass.degen import (
     bongartz_data,
     boundary_check,
@@ -14,8 +14,10 @@ from quivergrass.degen import (
     hom_leq,
     local_covers,
 )
-from quivergrass.homalg import ext_dim, hom_basis, hom_dim_classes, hom_vector, subquotient_class
+from quivergrass.homalg import ext_dim, hom_basis, hom_dim_classes, hom_vector, subquotient_class, tau_class
+from quivergrass.linalg import column_space, left_nullspace, nullspace, solve
 from quivergrass.quiver import (
+    ExplicitRep,
     InternalCheckError,
     Interval,
     RepClass,
@@ -268,6 +270,81 @@ def test_boundary_check_validates_each_unique_hom_once(monkeypatch):
     bd = bongartz_data(A3, cls((1, 2), (3, 3)), cls((1, 1), (2, 2), (3, 3)))
     assert boundary_check.__wrapped__(bd)
     assert len(validated) == len(set(map(id, validated))) == 2
+
+
+def small_covers():
+    """(q, bongartz_data) of every cover of A2-A4 (all orientations) with d <= 2 componentwise."""
+    for q in all_quivers(4):
+        if q.n >= 2:
+            for d in vec_boxes((2,) * q.n):
+                for m, n in degeneration_poset(q, d).covers:
+                    yield q, bongartz_data(q, m, n)
+
+
+def whole_quiver_identify(f):
+    """iso_identify on the whole quiver: Hom counts of every interval, times the inverse Hom table."""
+    q = f.quiver
+    counts = [homalg.interval_hom_dim(u, f) for u in intervals_of(q)]
+    pairs = []
+    for u, row in zip(intervals_of(q), homalg._hom_table_inverse(q)):
+        value = sum(a * c for a, c in zip(row, counts))
+        assert value >= 0, (q.label(), str(u), value)
+        if value:
+            pairs.append((u, value))
+    return RepClass(tuple(pairs))
+
+
+def whole_quiver_subquotients(h):
+    """Kernel, image and cokernel of h by elimination on every block and a solve on every arrow."""
+    q = h.source.quiver
+    out = []
+    for bases, ambient in (([nullspace(m) for m in h.mats], h.source), ([column_space(m) for m in h.mats], h.target)):
+        mats = []
+        for k in range(q.n - 1):
+            s, t = q.edge(k)
+            mats.append(solve(bases[t - 1], ambient.mats[k].mul(bases[s - 1])))
+        out.append(whole_quiver_identify(ExplicitRep(q, tuple(b.ncols for b in bases), tuple(mats))))
+    projections = [left_nullspace(m) for m in h.mats]
+    mats = []
+    for k in range(q.n - 1):
+        s, t = q.edge(k)
+        rhs = projections[t - 1].mul(h.target.mats[k])
+        mats.append(solve(projections[s - 1].transpose(), rhs.transpose()).transpose())
+    out.append(whole_quiver_identify(ExplicitRep(q, tuple(p.nrows for p in projections), tuple(mats))))
+    return tuple(out)
+
+
+def test_subquotients_on_the_support_match_the_whole_quiver_route():
+    # both unique maps of every small cover: X -> tau S and tau^- X -> S
+    maps = {}
+    for q, bd in small_covers():
+        for src, dst in ((bd.x_class, tau_class(q, bd.s_class)), (tau_class(q, bd.x_class, "inverse"), bd.s_class)):
+            maps.setdefault((q, src, dst), None)
+    zero_blocks = 0
+    for q, src, dst in maps:
+        h = degen._unique_hom(q, src, dst)
+        zero_blocks += sum(not any(map(any, m.rows)) for m in h.mats)
+        found = tuple(homalg.basis_subquotient_class(h, which) for which in ("kernel", "image", "cokernel"))
+        assert found == whole_quiver_subquotients(h), (q.label(), str(src), str(dst))
+    assert len(maps) > 1000 and zero_blocks > 0
+
+
+def test_boundary_check_eliminates_no_matrix_with_an_empty_side(monkeypatch):
+    covers = list(small_covers())
+    for _, bd in covers:
+        boundary_check(bd)  # the Hom, inverse Hom and translate tables are built here
+    shapes = []
+    real = linalg._eliminate
+
+    def recording(m, full):
+        shapes.append((m.nrows, m.ncols))
+        return real(m, full)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    for _, bd in covers:
+        assert boundary_check.__wrapped__(bd)
+    assert len(covers) == 4466 and shapes
+    assert all(rows and cols for rows, cols in shapes)
 
 
 def test_bongartz_split_with_repeated_simple_classes():

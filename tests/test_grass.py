@@ -763,9 +763,10 @@ def test_strata_kernel_table_matches_per_e_tables(q, data):
     # cut down to lo <= f + g <= hi
     lo = tuple(data.draw(st.integers(0, x + 1)) for x in d)
     hi = tuple(data.draw(st.integers(a, x + 2)) for a, x in zip(lo, d))
-    whole = list(grass._strata_terms(bd, (0,) * q.n, d))
+    slots = grass.cover_slots(d)
+    whole = list(grass._strata_terms(bd, (0,) * q.n, d, slots))
     inside = [t for t in whole if all(a <= x + y <= b for a, x, y, b in zip(lo, t[0], t[1], hi))]
-    assert list(grass._strata_terms(bd, lo, hi)) == inside, (q.label(), str(m), str(n), lo, hi)
+    assert list(grass._strata_terms(bd, lo, hi, slots)) == inside, (q.label(), str(m), str(n), lo, hi)
 
 
 def test_strata_table_split_budget(monkeypatch):
