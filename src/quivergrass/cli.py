@@ -11,18 +11,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import re
 import sys
 from functools import cache
 
 from .degen import bongartz_data, degeneration_poset
 from .grass import (
-    STRATA_SPLIT_BUDGET,
     PoincarePoly,
     betti_oracle,
     betti_recursion,
     check_peel_depth,
+    check_split_count,
     strata_table,
 )
 from .quiver import InternalCheckError, Interval, RepClass, TypeAQuiver
@@ -204,6 +203,8 @@ def _dot_of_poset(q: TypeAQuiver, poset) -> str:
 
 
 def cmd_poset(args) -> int:
+    if args.dot == "-" and args.json in (None, "-"):
+        raise UsageError("--dot - needs --json FILE: stdout carries the JSON report")
     q = parse_quiver(args.quiver)
     d = parse_vec(args.dim, q.n)
     poset = degeneration_poset(q, d)
@@ -257,9 +258,7 @@ def cmd_strata(args) -> int:
     m = parse_rep(args.m, q)
     n = parse_rep(args.n, q)
     e = parse_vec(args.sub, q.n)
-    splits = math.prod(x + 1 for x in e)
-    if splits > STRATA_SPLIT_BUDGET:
-        raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
+    check_split_count(e)
     links = len(saturated_chain(q, m, n)) - 1
     if links != 1:
         raise UsageError(f"({m}, {n}) is not a cover; chain has {links} links")
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset", help="degeneration poset with Hasse diagram")
     p.add_argument("--quiver", required=True)
     p.add_argument("--dim", required=True)
-    p.add_argument("--dot", help="write DOT here ('-' for stdout)")
+    p.add_argument("--dot", help="write DOT here ('-' for stdout, with --json FILE)")
     p.add_argument("--json", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_poset)
 

@@ -75,7 +75,6 @@ class DegenPoset:
         return tuple(tuple(vec_leq(u, v) for v in vectors) for u in vectors)
 
 
-@cache
 def degeneration_poset(q: TypeAQuiver, d: tuple[int, ...]) -> DegenPoset:
     """All classes of dimension d ordered by degeneration, with cover edges.
 

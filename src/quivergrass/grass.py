@@ -46,9 +46,11 @@ a <= b is the one test ((b | H) - a) & H == H with H the guard bits
 (packed_leq), and every addition into a table entry or a strata sum
 checks that no guard bit is set, which raises InternalCheckError.  Guard
 masks cover the slots up to the Grassmannian dimension
-sum_v d_v^2 // 4, and a table entry past it raises as well.  Packed values
-are unpacked (unpack) only at the public boundary: betti_table,
-betti_recursion, strata_kernel_table and the records of strata_table.
+sum_v d_v^2 // 4, and a table entry past it raises as well.  This module
+is the only one that sees a packed value: it unpacks (unpack) at its public
+boundary, in betti_table, betti_recursion, strata_kernel_table, the records
+of strata_table and the kernels of cover_rows, and product_bound_rows
+returns verdicts only.
 
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
@@ -75,7 +77,7 @@ from functools import cache
 from operator import add, le, mul, sub
 from types import MappingProxyType
 
-from .degen import BongartzData, boundary_check
+from .degen import BongartzData, bongartz_data, boundary_check
 from .homalg import euler_form, ext_intervals
 from .quiver import (
     InternalCheckError,
@@ -211,7 +213,6 @@ def gr_interval(q: TypeAQuiver, u: Interval, e: tuple[int, ...]) -> PoincarePoly
     return PoincarePoly.one()
 
 
-@cache
 def peel_summand(q: TypeAQuiver, m: RepClass, reverse: bool = False) -> Interval:
     """The least summand interval with no Ext^1 into any other summand interval.
 
@@ -863,6 +864,13 @@ def _strata_terms(bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...], sl
                 yield (f, g) + _stratum_rule(f, g, pf * pg, ker_f * quot_g, pairing, mask, w)
 
 
+def check_split_count(e: tuple[int, ...]) -> None:
+    """Refuse, before any work, a strata table at e with more than STRATA_SPLIT_BUDGET splits."""
+    splits = math.prod(max(0, x + 1) for x in e)
+    if splits > STRATA_SPLIT_BUDGET:
+        raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
+
+
 def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, ...]:
     """Stratum records of the degeneration bd at subdimension e.
 
@@ -873,11 +881,9 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
     (_strata_terms) over the box [e, e], unpacked; every other split gets
     two zero records.  Zero strata are emitted with shift normalized to 0.
     More than STRATA_SPLIT_BUDGET splits is a ValueError, raised before any
-    table.
+    table (check_split_count).
     """
-    splits = math.prod(max(0, x + 1) for x in e)
-    if splits > STRATA_SPLIT_BUDGET:
-        raise ValueError(f"strata split count {splits} exceeds budget {STRATA_SPLIT_BUDGET}")
+    check_split_count(e)
     slots = cover_slots(_cover_dim(bd))
     terms = {term[0]: term for term in _strata_terms(bd, e, e, slots)}
     w = slots[0]
@@ -896,17 +902,16 @@ def strata_table(bd: BongartzData, e: tuple[int, ...]) -> tuple[StratumRecord, .
 
 
 def strata_sums(
-    bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...], slots=None
+    bd: BongartzData, lo: tuple[int, ...], hi: tuple[int, ...], slots: tuple[int, int]
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """The i = 1 and the i = 0 sums of the strata tables of bd at every lo <= e <= hi, packed.
 
     Nonzero entries only, at the slot width of dim m; slots is
-    cover_slots(dim m), computed here when not given.  The strata walk
-    (_strata_terms) visits each support pair once and adds q^shift1 base1 to
-    the i = 1 sum and q^shift0 base0 to the i = 0 sum of e = f + g; a guard
-    bit set by any addition raises InternalCheckError.
+    cover_slots(dim m), computed once per cover by the caller.  The strata
+    walk (_strata_terms) visits each support pair once and adds q^shift1
+    base1 to the i = 1 sum and q^shift0 base0 to the i = 0 sum of e = f + g;
+    a guard bit set by any addition raises InternalCheckError.
     """
-    slots = slots or cover_slots(_cover_dim(bd))
     w, mask = slots
     sums1: dict[tuple[int, ...], int] = {}
     sums0: dict[tuple[int, ...], int] = {}
@@ -950,3 +955,52 @@ def strata_sum(records: tuple[StratumRecord, ...], which: int | None = None) -> 
         if rec.base_poly:
             total = total + rec.base_poly.shift(rec.shift)
     return total
+
+
+def cover_rows(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]:
+    """(e, kernel, monotone, identity_ok) of the cover m -> n at every lo <= e <= hi.
+
+    kernel = P(n, e) - P(m, e), monotone is P(m, e) <= P(n, e), and
+    identity_ok holds both strata identities: the kernel equals the i = 1
+    strata sum and P(m, e) the i = 0 sum; rows run in lexicographic e order.
+    The polynomials stay packed at the slot width of dim m: monotone is one
+    packed_leq, and when it holds the identities are int equalities.  Only
+    the kernel is unpacked, for the report; when monotone fails it is
+    computed unpacked.  args is the picklable tuple (q, m, n, lo, hi), one
+    pool task.
+    """
+    q, m, n, lo, hi = args
+    lo, hi = tuple(lo), tuple(hi)
+    slots = cover_slots(m.dim(q.n))
+    w, mask = slots
+    sums1, sums0 = strata_sums(bongartz_data(q, m, n), lo, hi, slots)
+    table_m, table_n = packed_betti_table(q, m, lo, hi, w), packed_betti_table(q, n, lo, hi, w)
+    out = []
+    for e in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        p_m, p_n = table_m.get(e, 0), table_n.get(e, 0)
+        zero_ok = p_m == sums0.get(e, 0)
+        if packed_leq(p_m, p_n, mask):
+            kernel = p_n - p_m
+            out.append((e, unpack(kernel, w), True, zero_ok and kernel == sums1.get(e, 0)))
+        else:
+            kernel = unpack(p_n, w) - unpack(p_m, w)
+            out.append((e, kernel, False, zero_ok and kernel == unpack(sums1.get(e, 0), w)))
+    return out
+
+
+def product_bound_rows(q: TypeAQuiver, d: tuple[int, ...], nodes: tuple[RepClass, ...]):
+    """(node, e, within, exact) for every node of dimension d and every 0 <= e <= d.
+
+    within is P(node, e) <= prod_v [d_v, e_v]_q, the product of ordinary
+    Grassmannians, coefficientwise, and exact is equality.  The bounds are
+    packed once, at the slot width of d, and each node is read from one full
+    packed Betti table; rows run node by node, e in lexicographic order.
+    """
+    w, mask = cover_slots(d)
+    es = vec_boxes(d)
+    bounds = [math.prod(pack(gaussian_binomial(dv, ev), w) for dv, ev in zip(d, e)) for e in es]
+    for node in nodes:
+        table = packed_betti_table(q, node, (0,) * q.n, d, w)
+        for e, bound in zip(es, bounds):
+            value = table.get(e, 0)
+            yield node, e, packed_leq(value, bound, mask), value == bound

@@ -5,42 +5,28 @@ Grassmannians is surjective; at the level of graded dimensions that means
 P(n, e) dominates P(m, e) coefficientwise, and for a minimal degeneration
 the difference is exactly the i = 1 part of the strata table, while P(m, e)
 is its i = 0 part.  Arbitrary degenerations reduce to chains of covers.
-Every route checks a cover with one function (_cover_rows) over a box of
-e, from the packed strata sums and the packed Betti tables of m and n at
-the slot width of their common dimension vector: verify_theorem over
-0 <= e <= d, check_degeneration over [e, e] at each chain link.  The
-semisimple class tops every poset, so every P(m, e) is dominated by a
-product of Gaussian binomials.
+Every route checks a cover with one function, grass.cover_rows, over a box
+of e: verify_theorem over 0 <= e <= d, check_degeneration over [e, e] at
+each chain link.  The semisimple class tops every poset, so every P(m, e)
+is dominated by a product of Gaussian binomials (grass.product_bound_rows).
+This module sees polynomials, verdicts and failure strings only; the packed
+arithmetic of both checks stays in grass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 
-from .degen import bongartz_data, degeneration_poset, hom_leq, local_covers
-from .grass import (
-    PoincarePoly,
-    betti_recursion,
-    cover_slots,
-    gaussian_binomial,
-    guard_mask,
-    pack,
-    packed_betti_table,
-    packed_leq,
-    slot_width,
-    strata_sums,
-    unpack,
-)
+from .degen import degeneration_poset, hom_leq, local_covers
+from .grass import PoincarePoly, betti_recursion, cover_rows, product_bound_rows
 from .quiver import (
     InternalCheckError,
     Interval,
     RepClass,
     TypeAQuiver,
     semisimple_class,
-    vec_boxes,
 )
 
 
@@ -76,37 +62,6 @@ class SpecializationReport:
     identity_ok: bool
 
 
-def _cover_rows(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]:
-    """(e, kernel, monotone, identity_ok) of the cover m -> n at every lo <= e <= hi.
-
-    kernel = P(n, e) - P(m, e), monotone is P(m, e) <= P(n, e), and
-    identity_ok holds both strata identities: the kernel equals the i = 1
-    strata sum and P(m, e) the i = 0 sum; rows run in lexicographic e order.
-    The polynomials stay packed at the slot width of dim m: monotone is one
-    packed_leq, and when it holds the identities are int equalities.  Only
-    the kernel is unpacked, for the report; when monotone fails it is
-    computed unpacked.  args is the picklable tuple (q, m, n, lo, hi), one
-    pool task.
-    """
-    q, m, n, lo, hi = args
-    lo, hi = tuple(lo), tuple(hi)
-    slots = cover_slots(m.dim(q.n))
-    w, mask = slots
-    sums1, sums0 = strata_sums(bongartz_data(q, m, n), lo, hi, slots)
-    table_m, table_n = packed_betti_table(q, m, lo, hi, w), packed_betti_table(q, n, lo, hi, w)
-    out = []
-    for e in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        p_m, p_n = table_m.get(e, 0), table_n.get(e, 0)
-        zero_ok = p_m == sums0.get(e, 0)
-        if packed_leq(p_m, p_n, mask):
-            kernel = p_n - p_m
-            out.append((e, unpack(kernel, w), True, zero_ok and kernel == sums1.get(e, 0)))
-        else:
-            kernel = unpack(p_n, w) - unpack(p_m, w)
-            out.append((e, kernel, False, zero_ok and kernel == unpack(sums1.get(e, 0), w)))
-    return out
-
-
 def saturated_chain(q: TypeAQuiver, m: RepClass, n: RepClass) -> tuple[RepClass, ...]:
     """A chain m = C0 < C1 < ... < Ck = n of covers, chosen greedily.
 
@@ -127,15 +82,18 @@ def saturated_chain(q: TypeAQuiver, m: RepClass, n: RepClass) -> tuple[RepClass,
 
 
 def check_degeneration(q: TypeAQuiver, m: RepClass, n: RepClass, e: tuple[int, ...]) -> SpecializationReport:
-    """Check an arbitrary degeneration by composing along a saturated chain."""
+    """Check an arbitrary degeneration by composing along a saturated chain.
+
+    The polynomial of each chain node at e is read once.
+    """
     chain = saturated_chain(q, m, n)
+    polys = [betti_recursion(q, c, e) for c in chain]
     checks = tuple(
-        CoverCheck(a, b, e, betti_recursion(q, b, e), betti_recursion(q, a, e), *row[1:])
-        for a, b in zip(chain, chain[1:])
-        for row in _cover_rows((q, a, b, e, e))  # the one row of the box [e, e]
+        CoverCheck(a, b, e, p_b, p_a, *row[1:])
+        for a, b, p_a, p_b in zip(chain, chain[1:], polys, polys[1:])
+        for row in cover_rows((q, a, b, e, e))  # the one row of the box [e, e]
     )
-    p_n = betti_recursion(q, n, e)
-    p_m = betti_recursion(q, m, e)
+    p_m, p_n = polys[0], polys[-1]
     kernel = p_n - p_m
     monotone = all(c.monotone for c in checks) and p_m.leq(p_n)
     identity_ok = all(c.identity_ok for c in checks)
@@ -180,7 +138,6 @@ def verify_theorem(
     work = len(poset.nodes) ** 2 + (len(poset.nodes) + len(poset.covers)) * math.prod(x + 1 for x in d) + binomials
     if work > budget:
         raise ValueError(f"estimated sweep size {work} exceeds budget {budget}")
-    es = vec_boxes(d)
     failures: list[str] = []
     kernels: list[tuple[RepClass, RepClass, tuple[int, ...], PoincarePoly]] = []
     tasks = [(q, m, n, (0,) * q.n, d) for (m, n) in poset.covers]
@@ -191,9 +148,9 @@ def verify_theorem(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cover_rows, tasks))
+            results = list(pool.map(cover_rows, tasks))
     else:
-        results = [_cover_rows(t) for t in tasks]
+        results = [cover_rows(t) for t in tasks]
     cover_checks = 0
     for (m, n), rows in zip(poset.covers, results):
         for e, kernel, monotone, identity_ok in rows:
@@ -204,25 +161,13 @@ def verify_theorem(
             if not identity_ok:
                 failures.append(f"kernel identity fails: {m} -> {n} at e={e}")
     top = semisimple_class(q, d)
-    # the product bounds, packed once at the sweep's slot width
-    w = slot_width(d)
-    mask = guard_mask(w, d)
-    bounds = []
-    for e in es:
-        bound = 1
-        for dv, ev in zip(d, e):
-            bound *= pack(gaussian_binomial(dv, ev), w)
-        bounds.append(bound)
     bound_checks = 0
-    for node in poset.nodes:
-        table = packed_betti_table(q, node, (0,) * q.n, d, w)
-        for e, bound in zip(es, bounds):
-            bound_checks += 1
-            value = table.get(e, 0)
-            if not packed_leq(value, bound, mask):
-                failures.append(f"Grassmannian-product bound fails: {node} at e={e}")
-            if node == top and value != bound:
-                failures.append(f"semisimple class misses the product bound at e={e}")
+    for node, e, within, exact in product_bound_rows(q, d, poset.nodes):
+        bound_checks += 1
+        if not within:
+            failures.append(f"Grassmannian-product bound fails: {node} at e={e}")
+        if node == top and not exact:
+            failures.append(f"semisimple class misses the product bound at e={e}")
     return VerifySummary(
         q,
         d,

@@ -287,6 +287,9 @@ def test_cli_usage_errors(capsys):
         ("betti", "--quiver", "A2:F", "--rep", "[1,1]", "--sub", "1,0", "--method", "guess"),
         ("pbw", "--n", "3", "--i", "a"),
         ("pbw", "--n", "3", "--i", "1,,2"),
+        # stdout holds the JSON report, so the DOT needs a file for the JSON
+        ("poset", "--quiver", "A2:F", "--dim", "1,1", "--dot", "-"),
+        ("poset", "--quiver", "A2:F", "--dim", "1,1", "--dot", "-", "--json", "-"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -365,7 +368,7 @@ def test_cli_strata_refuses_too_many_splits_first(capsys, sub, splits):
 
 def test_cli_strata_split_budget_is_inclusive(monkeypatch, capsys):
     # --sub 10,10 has 11 * 11 splits f <= e
-    monkeypatch.setattr(cli, "STRATA_SPLIT_BUDGET", 121)
+    monkeypatch.setattr(grass, "STRATA_SPLIT_BUDGET", 121)
     assert run_cli(capsys, *STRATA_A2, "--sub", "10,10")[0] == 0
     code, out, err = run_cli(capsys, *STRATA_A2, "--sub", "10,11")
     assert (code, out) == (2, "") and "split count 132 exceeds budget 121" in err
@@ -529,8 +532,6 @@ def test_cli_strata_refuses_non_cover_before_any_table(monkeypatch, capsys, m, n
 
     for name in ("betti_table", "strata_kernel_table", "packed_betti_table", "strata_sums"):
         monkeypatch.setattr(grass, name, refuse)
-    for name in ("packed_betti_table", "strata_sums"):
-        monkeypatch.setattr(specialize, name, refuse)
     for module in (grass, cli):
         monkeypatch.setattr(module, "strata_table", refuse)
     code, out, err = run_cli(capsys, "strata", "--quiver", "A3:FF", "--m", m, "--n", n, "--sub", "1,0,0")

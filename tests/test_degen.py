@@ -148,20 +148,19 @@ def test_local_covers_check_raises(monkeypatch):
 
 
 def test_poset_checks_raise(monkeypatch):
-    build = degeneration_poset.__wrapped__
     monkeypatch.setattr(degen, "hom_vector", lambda q, m: (0,))
     with pytest.raises(InternalCheckError, match="not antisymmetric"):
-        build(A3, (1, 1, 1))
+        degeneration_poset(A3, (1, 1, 1))
     monkeypatch.undo()
     monkeypatch.setattr(degen, "semisimple_class", lambda q, d: cls((1, 3)))
     with pytest.raises(InternalCheckError, match="unique maximum"):
-        build(A3, (1, 1, 1))
+        degeneration_poset(A3, (1, 1, 1))
     monkeypatch.undo()
     # a second maximal node: [1,3] loses its covers
     covers = degen.local_covers
     monkeypatch.setattr(degen, "local_covers", lambda q, m: () if m == cls((1, 3)) else covers(q, m))
     with pytest.raises(InternalCheckError, match="unique maximum"):
-        build(A3, (1, 1, 1))
+        degeneration_poset(A3, (1, 1, 1))
 
 
 def test_semisimple_is_unique_maximum():

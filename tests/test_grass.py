@@ -151,7 +151,7 @@ def test_peel_summand_matches_reference_sort():
 def test_peel_summand_without_candidate_raises(monkeypatch):
     monkeypatch.setattr(grass, "ext_intervals", lambda q, u, v: 1)
     with pytest.raises(InternalCheckError, match="extension cycle"):
-        peel_summand.__wrapped__(A2, cls((1, 1), (2, 2)))
+        peel_summand(A2, cls((1, 1), (2, 2)))
 
 
 @given(st.sampled_from(list(all_quivers(4))), st.data())
@@ -836,7 +836,6 @@ def test_verify_asks_betti_only_inside_the_dimension_box(monkeypatch):
         return real(q, m, lo, hi, w, **kwargs)
 
     monkeypatch.setattr(grass, "packed_betti_table", recording)
-    monkeypatch.setattr(specialize, "packed_betti_table", recording)
     for q in all_quivers(3):
         if q.n == 3:
             assert not specialize.verify_theorem(q, (2, 2, 2)).failures

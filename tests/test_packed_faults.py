@@ -48,13 +48,13 @@ def verify_failures(capsys, argv):
 
 def patch_boundary_class(monkeypatch, field, wrong):
     """bongartz_data, as the cover check reads it, with one boundary class replaced by wrong(bd)."""
-    real = specialize.bongartz_data
+    real = grass.bongartz_data
 
     def patched(q, m, n):
         bd = real(q, m, n)
         return dataclasses.replace(bd, **{field: wrong(bd)})
 
-    monkeypatch.setattr(specialize, "bongartz_data", patched)
+    monkeypatch.setattr(grass, "bongartz_data", patched)
 
 
 def test_wrong_x_ker_is_caught_twice(monkeypatch, capsys):
@@ -88,17 +88,22 @@ BUMPED = (1, 1)
 
 
 def bump_tables(monkeypatch, amount, classes=None):
-    """The cover check's packed tables, with amount added at e = BUMPED for the
-    given classes (every class when None)."""
-    real = specialize.packed_betti_table
+    """The packed tables of the sweep's classes, with amount added at e = BUMPED
+    for the given classes (every node when None).
+
+    Only classes of the sweep's dimension vector are bumped: the nodes, among
+    them every cover's m and n.  X, S, x_ker and s_quot of the strata walk are
+    strictly smaller, so their tables stay as they are.
+    """
+    real = grass.packed_betti_table
 
     def bumped(q, m, lo, hi, w, **kwargs):
         table = dict(real(q, m, lo, hi, w, **kwargs))
-        if classes is None or m in classes:
+        if m.dim(q.n) == (2, 2) and (classes is None or m in classes):
             table[BUMPED] = table.get(BUMPED, 0) + amount
         return table
 
-    monkeypatch.setattr(specialize, "packed_betti_table", bumped)
+    monkeypatch.setattr(grass, "packed_betti_table", bumped)
 
 
 def a2_poset():
@@ -151,8 +156,7 @@ def test_negative_fiber_is_caught(monkeypatch, capsys):
 
 def test_too_narrow_slot_width_sets_a_guard_bit(monkeypatch, capsys):
     # Gr(10, 20) has Betti numbers far above 2^7, the guard bit of an 8-bit slot
-    for module in (grass, specialize):
-        monkeypatch.setattr(module, "slot_width", lambda d: 8)
+    monkeypatch.setattr(grass, "slot_width", lambda d: 8)
     with pytest.raises(grass.InternalCheckError, match="sets a guard bit at slot width 8"):
         grass.betti_table(TypeAQuiver(1), RepClass.from_pairs([(Interval(1, 1), 20)]))
     assert "sets a guard bit at slot width 8" in internal_check(
@@ -165,4 +169,4 @@ def test_too_narrow_slot_width_sets_a_guard_bit(monkeypatch, capsys):
         [(1, 1, 5), (1, 2, 2), (2, 2, 6)], [(1, 1, 6), (1, 2, 1), (2, 2, 7)]
     ))
     with pytest.raises(grass.InternalCheckError, match="a strata sum at e=.* sets a guard bit at slot width 8"):
-        grass.strata_sums(specialize.bongartz_data(q, m, n), (0, 0), (7, 8))
+        grass.strata_sums(grass.bongartz_data(q, m, n), (0, 0), (7, 8), grass.cover_slots(m.dim(q.n)))

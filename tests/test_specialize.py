@@ -332,6 +332,32 @@ def test_chain_route_builds_no_stratum_records(monkeypatch, capsys):
         assert not link.kernel and link.monotone and link.identity_ok, e
 
 
+def test_specialize_holds_no_packed_name():
+    # the packing of polynomials into ints is known in grass alone
+    packed = ("cover_slots", "guard_mask", "pack", "packed_betti_table", "packed_leq", "slot_width", "strata_sums", "unpack")
+    assert not any(hasattr(specialize, name) for name in packed)
+
+
+def test_check_degeneration_reads_each_chain_node_once(monkeypatch):
+    calls = []
+    real = specialize.betti_recursion
+
+    def recording(q, m, e, **kwargs):
+        calls.append(m)
+        return real(q, m, e, **kwargs)
+
+    monkeypatch.setattr(specialize, "betti_recursion", recording)
+    q, flag = TypeAQuiver(4, "FFF"), RepClass.from_pairs([(Interval(1, 4), 5)])
+    rep, _, e = pbw_rep(4, (1, 2, 3))
+    report = check_degeneration(q, flag, rep, e)
+    assert len(report.chain) == 6 and report.monotone and report.identity_ok
+    assert calls == list(saturated_chain(q, flag, rep))
+    # a chain of no links is its one node
+    del calls[:]
+    assert check_degeneration(A2, cls((1, 2)), cls((1, 2)), (1, 1)).kernel == PoincarePoly.zero()
+    assert calls == [cls((1, 2))]
+
+
 def normalized_median_genocchi(j):
     """h_j = B_(j+1)(1) / 2^j, for B_1 = 1 and B_(i+1)(x) = (x+1)((x+1) B_i(x+1) - x B_i(x)).
 
