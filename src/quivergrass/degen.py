@@ -15,8 +15,9 @@ lift.
 
 bongartz_data computes the middle term, the split and the boundary classes
 from intervals (the endpoint swap, an Ext closure and an overlap);
-boundary_check recomputes the boundary classes from explicit homomorphisms
-between whole classes, so every cover is checked by both routes.
+boundary_check rebuilds the boundary subquotients from explicit
+homomorphisms between whole classes and compares each with its stored
+class, so every cover is checked by both routes.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .homalg import (
-    basis_subquotient_class,
+    basis_subquotient,
     ext_dim,
     ext_intervals,
+    has_class,
     hom_basis,
     hom_dim_classes,
     hom_vector,
+    iso_identify,
     middle_term,
     tau,
     tau_class,
@@ -269,14 +272,15 @@ def bongartz_data(q: TypeAQuiver, m: RepClass, n: RepClass) -> BongartzData:
 def boundary_check(bd: BongartzData) -> bool:
     """Re-verify the generating property and the boundary-class identities.
 
-    The identities are recomputed wholesale: x_ker must equal the kernel of
-    the unique map x1 + x_rest -> tau(s1 + s_rest), and s_im / s_quot the
-    image and cokernel of the unique map tau^-(x1 + x_rest) -> s1 + s_rest.
-    Both maps come from hom_basis, which validates them, so their
-    subquotients are read without validating again
-    (basis_subquotient_class), each identified per support component.
-    Raises InternalCheckError on any failure, a ValueError of the explicit
-    route included.
+    The identities are recomputed wholesale: x_ker must be the class of the
+    kernel of the unique map x1 + x_rest -> tau(s1 + s_rest), and s_im /
+    s_quot those of the image and cokernel of the unique map
+    tau^-(x1 + x_rest) -> s1 + s_rest.  Both maps come from hom_basis, which
+    validates them, so their subquotients are built without validating
+    again (basis_subquotient), and each is compared with its stored class
+    per support component (has_class); only a subquotient that differs is
+    identified, to name it in the error.  Raises InternalCheckError on any
+    failure, a ValueError of the explicit route included.
     """
     q = bd.quiver
     if bd.x_rest.union(bd.s_rest) != bd.common:
@@ -295,18 +299,18 @@ def boundary_check(bd: BongartzData) -> bool:
     # ValueError inside it (a negative multiplicity, an inconsistent
     # restriction) is a fault of the program, not of the input
     try:
-        kernel = basis_subquotient_class(_unique_hom(q, x_class, tau_class(q, s_class)), "kernel")
+        kernel = basis_subquotient(_unique_hom(q, x_class, tau_class(q, s_class)), "kernel")
         into_s = _unique_hom(q, tau_class(q, x_class, "inverse"), s_class)
-        image = basis_subquotient_class(into_s, "image")
-        cokernel = basis_subquotient_class(into_s, "cokernel")
+        parts = (
+            ("Ker(X -> tau S)", kernel, bd.x_ker),
+            ("Im(tau^- X -> S)", basis_subquotient(into_s, "image"), bd.s_im),
+            ("S / Im", basis_subquotient(into_s, "cokernel"), bd.s_quot),
+        )
+        for label, rep, stored in parts:
+            if not has_class(rep, stored):
+                raise InternalCheckError(f"{label} = {iso_identify(rep)}, stored {stored}")
     except ValueError as exc:
         raise InternalCheckError(f"explicit boundary route fails: {exc}") from exc
-    if kernel != bd.x_ker:
-        raise InternalCheckError(f"Ker(X -> tau S) = {kernel}, stored {bd.x_ker}")
-    if image != bd.s_im:
-        raise InternalCheckError(f"Im(tau^- X -> S) = {image}, stored {bd.s_im}")
-    if cokernel != bd.s_quot:
-        raise InternalCheckError(f"S / Im = {cokernel}, stored {bd.s_quot}")
     if not vec_leq(bd.s_im.dim(q.n), cls_s1.dim(q.n)):
         raise InternalCheckError("image class exceeds s1")
     return True

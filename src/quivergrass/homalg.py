@@ -16,7 +16,10 @@ compare it with.  That route works on the support of what it computes:
 iso_identify splits a representation at its zero vertices and identifies
 each support component on its own sub-quiver, and a zero block of a
 homomorphism has its kernel, image and cokernel read off without
-elimination.
+elimination (basis_subquotient).  A check that already holds the expected
+class compares instead of identifying: has_class tests the dimension
+vector and the Hom counts from the intervals inside each support
+component, against the Hom table of the representation's own quiver.
 """
 
 from __future__ import annotations
@@ -326,32 +329,65 @@ def _hom_table_inverse(q: TypeAQuiver) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in inverse.rows)
 
 
+def _support_runs(dims: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The maximal runs of nonzero entries of dims, as 0-based slices (c, v)."""
+    runs = []
+    v = 0
+    while v < len(dims):
+        if not dims[v]:
+            v += 1
+            continue
+        c = v
+        while v < len(dims) and dims[v]:
+            v += 1
+        runs.append((c, v))
+    return runs
+
+
 def iso_identify(f: ExplicitRep) -> RepClass:
     """The multiset of intervals with the same Hom counts as f.
 
     The arrows at a vertex v with dim f_v = 0 are zero maps, so f is the
     direct sum of its restrictions to the maximal runs of vertices where it
-    is nonzero, and every interval summand lies inside one run.  Each run
-    c..e is identified on its own sub-quiver TypeAQuiver(e - c + 1,
-    orient[c - 1 : e - 1]) (_identify_run), and its intervals are shifted
-    back by c - 1.
+    is nonzero (_support_runs), and every interval summand lies inside one
+    run.  Each run c..e is identified on its own sub-quiver
+    TypeAQuiver(e - c + 1, orient[c - 1 : e - 1]) (_identify_run), and its
+    intervals are shifted back by c - 1.
     """
     q = f.quiver
-    dims = f.dims
+    runs = _support_runs(f.dims)
+    if runs == [(0, q.n)]:
+        return _identify_run(f)
     pairs = []
-    v = 0
-    while v < q.n:
-        if not dims[v]:
-            v += 1
-            continue
-        c = v
-        while v < q.n and dims[v]:
-            v += 1
-        if c == 0 and v == q.n:
-            return _identify_run(f)
-        run = ExplicitRep(TypeAQuiver(v - c, q.orient[c : v - 1]), dims[c:v], f.mats[c : v - 1])
+    for c, v in runs:
+        run = ExplicitRep(TypeAQuiver(v - c, q.orient[c : v - 1]), f.dims[c:v], f.mats[c : v - 1])
         pairs += [(Interval(u.a + c, u.b + c), k) for u, k in _identify_run(run).pairs]
     return RepClass(tuple(pairs))
+
+
+def has_class(f: ExplicitRep, m: RepClass) -> bool:
+    """Whether f is isomorphic to the class m, without identifying f.
+
+    f has class m exactly when dim f = dim m and [U, f] = [U, m] for every
+    interval U inside a run of the support of f.  Equal dimension vectors
+    give equal supports, so every summand of m lies inside one run, and the
+    Hom table of a run is unimodular, so these counts determine the
+    summands on it.  [U, m] is read from hom_vector on f's own quiver, and
+    [U, f] is computed on f itself, so no sub-quiver, Hom table or inverse
+    is built.
+    """
+    q = f.quiver
+    if f.dims != m.dim(q.n):
+        return False
+    counts = hom_vector(q, m)
+    idx = _interval_index(q)
+    for c, v in _support_runs(f.dims):
+        for a in range(c + 1, v + 1):
+            for b in range(a, v + 1):
+                u = Interval(a, b)
+                if interval_hom_dim(u, f) != counts[idx[u]]:
+                    return False
+    return True
 
 
 def _identify_run(f: ExplicitRep) -> RepClass:
@@ -380,21 +416,21 @@ def subquotient_class(h: ExplicitHom, which: str) -> RepClass:
     h is validated first: a ValueError when it does not intertwine.
     """
     h.validate()
-    return basis_subquotient_class(h, which)
+    return iso_identify(basis_subquotient(h, which))
 
 
 def _is_zero(m: Mat) -> bool:
     return not any(map(any, m.rows))
 
 
-def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
-    """subquotient_class of an element of hom_basis, which hom_basis has validated.
+def basis_subquotient(h: ExplicitHom, which: str) -> ExplicitRep:
+    """The kernel, image or cokernel of an element of hom_basis, as matrices.
 
-    A zero or empty block needs no elimination: its kernel basis is the
-    identity, its image basis is empty and its cokernel projection is the
-    identity.  The restricted arrow maps are solved for only between two
-    vertices where the subquotient is nonzero; every other one has an empty
-    side.
+    hom_basis has validated h, so it is not validated again.  A zero or
+    empty block needs no elimination: its kernel basis is the identity, its
+    image basis is empty and its cokernel projection is the identity.  The
+    restricted arrow maps are solved for only between two vertices where
+    the subquotient is nonzero; every other one has an empty side.
     """
     q = h.source.quiver
     if which == "kernel":
@@ -414,7 +450,7 @@ def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
                 mats.append(solve(projections[s - 1].transpose(), rhs.transpose()).transpose())
             else:
                 mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
-        return iso_identify(ExplicitRep(q, dims, tuple(mats)))
+        return ExplicitRep(q, dims, tuple(mats))
     else:
         raise ValueError(f"which must be kernel/image/cokernel, got {which!r}")
     dims = tuple(b.ncols for b in bases)
@@ -425,7 +461,7 @@ def basis_subquotient_class(h: ExplicitHom, which: str) -> RepClass:
             mats.append(solve(bases[t - 1], ambient.mats[k].mul(bases[s - 1])))
         else:
             mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
-    return iso_identify(ExplicitRep(q, dims, tuple(mats)))
+    return ExplicitRep(q, dims, tuple(mats))
 
 
 def middle_term(q: TypeAQuiver, x1: Interval, s1: Interval) -> RepClass:

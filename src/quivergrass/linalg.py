@@ -6,12 +6,17 @@ types are rejected at construction.  Elimination is fraction-free: it runs
 on integer rows (each row scaled by the lcm of its denominators, which keeps
 its row space) and divides only exactly, so a Fraction is built only where
 an answer is non-integral.  Everything here is deterministic and exact.
+
+Mat is an immutable named tuple (nrows, ncols, rows), so equality and
+hashing are tuple operations in C.  Its arithmetic is the mul method: the
+tuple operators + and * concatenate and repeat, and the package never
+uses them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,13 +37,10 @@ def _coerce(x) -> Entry:
     raise TypeError(f"exact entry required (int or Fraction), got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(namedtuple("Mat", "nrows ncols rows")):
     """Immutable exact matrix; rows is a tuple of row tuples of normal-form entries."""
 
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[Entry, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], ncols: int | None = None) -> "Mat":

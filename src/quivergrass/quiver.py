@@ -6,10 +6,18 @@ i+1 -> i.  Indecomposable representations are the interval modules M[a,b]
 (one-dimensional on vertices a..b, identity on interior edges), so an
 isomorphism class of representations is a multiset of intervals;
 enumerate_rep_classes lists those of one dimension vector in canonical order.
+
+TypeAQuiver, Interval and RepClass key most caches, so they are immutable
+named tuples: hashing, equality and ordering are tuple operations in C, and
+the constructor checks run in __new__, which pickling calls again.  Being
+tuples, a value equals the plain tuple of its fields; nothing here keys a
+table by both.  Build values with the class itself, never with _make or
+_replace, which skip the checks.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
@@ -24,19 +32,18 @@ class InternalCheckError(RuntimeError):
     """A runtime consistency assertion failed; never ignore these."""
 
 
-@dataclass(frozen=True)
-class TypeAQuiver:
-    n: int
-    orient: str = ""
+class TypeAQuiver(namedtuple("TypeAQuiver", "n orient")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, orient: str = "") -> "TypeAQuiver":
+        if n < 1:
             raise ValueError("quiver needs at least one vertex")
-        if len(self.orient) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} orientation flags, got {len(self.orient)}")
-        bad = next((c for c in self.orient if c not in (FORWARD, BACKWARD)), None)
+        if len(orient) != n - 1:
+            raise ValueError(f"expected {n - 1} orientation flags, got {len(orient)}")
+        bad = next((c for c in orient if c not in (FORWARD, BACKWARD)), None)
         if bad is not None:
             raise ValueError(f"orientation flag must be F or B, got {bad!r}")
+        return tuple.__new__(cls, (n, orient))
 
     def edge(self, k: int) -> tuple[int, int]:
         """(source, target) of the k-th edge (0-based), vertices 1-based."""
@@ -48,14 +55,15 @@ class TypeAQuiver:
         return f"A{self.n}:{self.orient}" if self.orient else f"A{self.n}"
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    a: int
-    b: int
+class Interval(namedtuple("Interval", "a b")):
+    """The interval [a, b] of vertices, 1 <= a <= b; ordered by (a, b)."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"bad interval [{self.a},{self.b}]")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "Interval":
+        if not 1 <= a <= b:
+            raise ValueError(f"bad interval [{a},{b}]")
+        return tuple.__new__(cls, (a, b))
 
     def contains(self, v: int) -> bool:
         return self.a <= v <= self.b
@@ -67,24 +75,10 @@ class Interval:
         return f"[{self.a},{self.b}]"
 
 
-@dataclass(frozen=True)
-class RepClass:
-    """Multiset of intervals; pairs is sorted with positive multiplicities.
+class RepClass(namedtuple("RepClass", "pairs")):
+    """Multiset of intervals; pairs is sorted with positive multiplicities."""
 
-    Classes key most caches, so the hash is computed from plain ints on
-    first use and kept on the instance (many classes are built and never
-    hashed); equality compares pairs alone.
-    """
-
-    pairs: tuple[tuple[Interval, int], ...]
-    _hash = None  # not a field: set on the instance by the first __hash__
-
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash(tuple([(u.a, u.b, k) for u, k in self.pairs]))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Interval, int]]) -> "RepClass":

@@ -323,7 +323,7 @@ def test_subquotients_on_the_support_match_the_whole_quiver_route():
     for q, src, dst in maps:
         h = degen._unique_hom(q, src, dst)
         zero_blocks += sum(not any(map(any, m.rows)) for m in h.mats)
-        found = tuple(homalg.basis_subquotient_class(h, which) for which in ("kernel", "image", "cokernel"))
+        found = tuple(homalg.iso_identify(homalg.basis_subquotient(h, which)) for which in ("kernel", "image", "cokernel"))
         assert found == whole_quiver_subquotients(h), (q.label(), str(src), str(dst))
     assert len(maps) > 1000 and zero_blocks > 0
 
@@ -344,6 +344,44 @@ def test_boundary_check_eliminates_no_matrix_with_an_empty_side(monkeypatch):
         assert boundary_check.__wrapped__(bd)
     assert len(covers) == 4466 and shapes
     assert all(rows and cols for rows, cols in shapes)
+
+
+def test_boundary_check_catches_a_wrong_class_of_the_right_dimension():
+    # a dimension-vector comparison alone passes these; the Hom counts of
+    # the subquotient must tell the stored class from its alternative
+    caught = {}
+    for q, bd in small_covers():
+        for field, label in (("x_ker", "Ker(X -> tau S)"), ("s_im", "Im(tau^- X -> S)"), ("s_quot", "S / Im")):
+            stored = getattr(bd, field)
+            if field in caught or not stored.pairs:
+                continue
+            others = [m for m in enumerate_rep_classes(q, stored.dim(q.n)) if m != stored]
+            if others:
+                with pytest.raises(InternalCheckError) as exc:
+                    boundary_check(replace(bd, **{field: others[0]}))
+                assert str(exc.value) == f"{label} = {stored}, stored {others[0]}"
+                caught[field] = (q.label(), stored.text(), others[0].text())
+        if len(caught) == 3:
+            break
+    assert len(caught) == 3, caught
+
+
+def test_boundary_check_asks_only_the_cover_quivers_hom_table(monkeypatch):
+    # the comparison reads [U, stored] from the cover's own Hom table: no
+    # sub-quiver table and no inverse table is asked for
+    covers = list(small_covers())
+    asked, inverted = [], []
+    real_table = homalg.hom_table
+    monkeypatch.setattr(homalg, "hom_table", lambda q: asked.append(q) or real_table(q))
+    monkeypatch.setattr(homalg, "_hom_table_inverse", lambda q: inverted.append(q))
+    homalg.hom_vector.cache_clear()  # so that the tables are asked for again
+    quivers = set()
+    for q, bd in covers:
+        assert boundary_check.__wrapped__(bd)
+        assert set(asked) <= {q}, (q.label(), [p.label() for p in asked])
+        quivers |= set(asked)
+        asked.clear()
+    assert inverted == [] and quivers == {q for q, _ in covers}
 
 
 def test_bongartz_split_with_repeated_simple_classes():

@@ -4,6 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass.linalg import Mat
 from quivergrass.quiver import (
     Interval,
     RepClass,
@@ -201,12 +202,43 @@ def test_repclass_hash_is_stable_across_constructions():
         pickle.loads(pickle.dumps(m)),
     ]
     hash(m)
-    built.append(pickle.loads(pickle.dumps(m)))  # a copy that carries its hash
+    built.append(pickle.loads(pickle.dumps(m)))  # pickled after its hash was taken
     for other in built:
         assert other == m and hash(other) == hash(m) and other.pairs == m.pairs
     assert len({m, *built}) == 1
     assert m != m.remove_one(Interval(1, 1)) and m != cls((1, 2))
     assert hash(RepClass.empty()) == hash(m.difference(m))
+
+
+@pytest.mark.parametrize(
+    "value, bad",
+    [
+        (TypeAQuiver(3, "FB"), lambda: TypeAQuiver(3, "FX")),
+        (Interval(2, 3), lambda: Interval(3, 2)),
+        (RepClass.from_copies([Interval(1, 2), Interval(2, 2)]), lambda: RepClass.from_pairs([(Interval(1, 1), -1)])),
+        (Mat.from_rows([[1, 2], [3, 4]]), lambda: Mat.from_rows([[1], [2, 3]])),
+    ],
+    ids=["TypeAQuiver", "Interval", "RepClass", "Mat"],
+)
+def test_value_types_are_immutable_slotted_tuples(value, bad):
+    with pytest.raises(ValueError):
+        bad()
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert type(value).__slots__ == () and not hasattr(value, "__dict__")
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+
+
+def test_unpickling_runs_the_constructor_checks():
+    # tuple.__new__ skips the checks in __new__; loading calls __new__ again
+    for forged in (tuple.__new__(TypeAQuiver, (2, "FX")), tuple.__new__(Interval, (3, 2))):
+        data = pickle.dumps(forged)
+        with pytest.raises(ValueError):
+            pickle.loads(data)
 
 
 def test_vec_sub_rejects_negative():
