@@ -22,7 +22,7 @@ class, so every cover is checked by both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 
 from .homalg import (
@@ -58,18 +58,21 @@ def hom_leq(q: TypeAQuiver, m: RepClass, n: RepClass) -> bool:
     return vec_leq(hom_vector(q, m), hom_vector(q, n))
 
 
-@dataclass(frozen=True)
-class DegenPoset:
+class DegenPoset(namedtuple("DegenPoset", "quiver d nodes covers")):
     """Classes of dimension d under the Hom order, with their cover edges.
 
     covers lists the edges (m, n), m in node order and the covers of each m
-    as local_covers gives them (sorted by pairs, the node order).
+    as local_covers gives them (sorted by pairs, the node order).  The class
+    has no __slots__, so that cached_property can keep leq in the instance
+    dict, which it writes directly; assigning or deleting an attribute
+    raises AttributeError.
     """
 
-    quiver: TypeAQuiver
-    d: tuple[int, ...]
-    nodes: tuple[RepClass, ...]
-    covers: tuple[tuple[RepClass, RepClass], ...]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of DegenPoset")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of DegenPoset")
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
@@ -134,8 +137,9 @@ def local_covers(q: TypeAQuiver, m: RepClass) -> tuple[RepClass, ...]:
     return tuple(sorted(covers, key=lambda n: n.pairs))
 
 
-@dataclass(frozen=True)
-class BongartzData:
+class BongartzData(
+    namedtuple("BongartzData", "quiver x1 s1 middle x_rest s_rest common x_ker s_im s_quot")
+):
     """Decomposition of a minimal degeneration m -> n.
 
     middle is the non-split extension of s1 by x1; common = x_rest + s_rest
@@ -144,16 +148,7 @@ class BongartzData:
     S / s_im.
     """
 
-    quiver: TypeAQuiver
-    x1: Interval
-    s1: Interval
-    middle: RepClass
-    x_rest: RepClass
-    s_rest: RepClass
-    common: RepClass
-    x_ker: RepClass
-    s_im: RepClass
-    s_quot: RepClass
+    __slots__ = ()
 
     @property
     def x_class(self) -> RepClass:

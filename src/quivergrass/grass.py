@@ -48,9 +48,8 @@ checks that no guard bit is set, which raises InternalCheckError.  Guard
 masks cover the slots up to the Grassmannian dimension
 sum_v d_v^2 // 4, and a table entry past it raises as well.  This module
 is the only one that sees a packed value: it unpacks (unpack) at its public
-boundary, in betti_table, betti_recursion, strata_kernel_table, the records
-of strata_table and the kernels of cover_rows, and product_bound_rows
-returns verdicts only.
+boundary, in betti_table, betti_recursion, the records of strata_table and
+the kernels of cover_rows, and product_bound_rows returns verdicts only.
 
 The strata table quantifies a minimal degeneration m -> n: splitting
 subspaces by their intersection with X = x1 + x_rest and by whether the
@@ -71,8 +70,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from operator import add, le, mul, sub
 from types import MappingProxyType
@@ -96,11 +95,38 @@ DEFAULT_ENUM_BUDGET = 5_000_000
 STRATA_SPLIT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
 class PoincarePoly:
-    """Polynomial in q; coefficient k is the 2k-th Betti number."""
+    """Polynomial in q; coefficient k is the 2k-th Betti number.
 
-    coeffs: tuple[int, ...]
+    An immutable value with one slot, coeffs: equality, hashing and repr are
+    those of coeffs.  It is no tuple, so that * is the polynomial product and
+    3 * p and p < p raise TypeError.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of PoincarePoly")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of PoincarePoly")
+
+    def __reduce__(self):
+        return (PoincarePoly, (self.coeffs,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"PoincarePoly(coeffs={self.coeffs!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PoincarePoly":
@@ -765,15 +791,10 @@ def betti_oracle(
 # strata of a minimal degeneration
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(namedtuple("StratumRecord", "f g i shift base_poly")):
     """One stratum: subspaces meeting X in dimension f, with extension class i."""
 
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-    i: int
-    shift: int
-    base_poly: PoincarePoly
+    __slots__ = ()
 
 
 def _cover_dim(bd: BongartzData) -> tuple[int, ...]:
@@ -924,37 +945,6 @@ def strata_sums(
                     raise _guard_error("a strata sum", e, w)
                 sums[e] = total
     return sums1, sums0
-
-
-def strata_kernel_table(bd: BongartzData, lo=None, hi=None) -> dict[tuple[int, ...], PoincarePoly]:
-    """The i = 1 sum of the strata table of bd at every lo <= e <= hi, keyed by e.
-
-    The box defaults to 0 <= e <= dim m; keys run in lexicographic order,
-    zeros included, as in betti_table.  Entry e equals
-    strata_sum(strata_table(bd, e), 1): it is the i = 1 sum of strata_sums,
-    unpacked.
-    """
-    q = bd.quiver
-    lo = (0,) * q.n if lo is None else tuple(lo)
-    dim_m = _cover_dim(bd)
-    hi = dim_m if hi is None else tuple(hi)
-    slots = cover_slots(dim_m)
-    sums1, _ = strata_sums(bd, lo, hi, slots)
-    w = slots[0]
-    zero = PoincarePoly.zero()
-    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    return {e: unpack(sums1[e], w) if e in sums1 else zero for e in box}
-
-
-def strata_sum(records: tuple[StratumRecord, ...], which: int | None = None) -> PoincarePoly:
-    """Sum q^shift * base over the records, optionally filtered by i."""
-    total = PoincarePoly.zero()
-    for rec in records:
-        if which is not None and rec.i != which:
-            continue
-        if rec.base_poly:
-            total = total + rec.base_poly.shift(rec.shift)
-    return total
 
 
 def cover_rows(args) -> list[tuple[tuple[int, ...], PoincarePoly, bool, bool]]:

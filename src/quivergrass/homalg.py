@@ -24,7 +24,7 @@ component, against the Hom table of the representation's own quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .linalg import Entry, Mat, column_space, left_nullspace, nullspace, rank, solve
@@ -135,11 +135,10 @@ def interval_hom_dim(u: Interval, g: ExplicitRep) -> int:
     return unknowns - rank(Mat(len(rows), unknowns, tuple(rows)))
 
 
-@dataclass(frozen=True)
-class ExplicitHom:
-    source: ExplicitRep
-    target: ExplicitRep
-    mats: tuple[Mat, ...]
+class ExplicitHom(namedtuple("ExplicitHom", "source target mats")):
+    """A homomorphism source -> target; mats[v] is its matrix at vertex v + 1."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         q = self.source.quiver

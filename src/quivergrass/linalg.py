@@ -7,6 +7,11 @@ on integer rows (each row scaled by the lcm of its denominators, which keeps
 its row space) and divides only exactly, so a Fraction is built only where
 an answer is non-integral.  Everything here is deterministic and exact.
 
+The fractions module is imported only where a Fraction is met (an entry
+that is not an int) or built (a non-integral entry of rref), so importing
+this module, and any computation whose entries stay integral, never loads
+it.  Entry is an alias for annotations only.
+
 Mat is an immutable named tuple (nrows, ncols, rows), so equality and
 hashing are tuple operations in C.  Its arithmetic is the mul method: the
 tuple operators + and * concatenate and repeat, and the package never
@@ -17,10 +22,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
-Entry = int | Fraction
+Entry = "int | Fraction"
 
 
 class InconsistentSystemError(ValueError):
@@ -30,6 +34,8 @@ class InconsistentSystemError(ValueError):
 def _coerce(x) -> Entry:
     if type(x) is int:
         return x
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -131,13 +137,19 @@ def _eliminate(m: Mat, full: bool) -> tuple[list[list[int]], list[int]]:
     return rows[:len(pivots)], pivots
 
 
+def _fraction(numerator: int, denominator: int) -> Entry:
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     rows, pivots = _eliminate(m, full=True)
     reduced = []
     for row, c in zip(rows, pivots):
         p = row[c]
-        reduced.append(tuple(x // p if x % p == 0 else Fraction(x, p) for x in row))
+        reduced.append(tuple(x // p if x % p == 0 else _fraction(x, p) for x in row))
     reduced.extend((0,) * m.ncols for _ in range(m.nrows - len(rows)))
     return Mat(m.nrows, m.ncols, tuple(reduced)), tuple(pivots)
 

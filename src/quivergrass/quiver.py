@@ -7,19 +7,20 @@ i+1 -> i.  Indecomposable representations are the interval modules M[a,b]
 isomorphism class of representations is a multiset of intervals;
 enumerate_rep_classes lists those of one dimension vector in canonical order.
 
-TypeAQuiver, Interval and RepClass key most caches, so they are immutable
-named tuples: hashing, equality and ordering are tuple operations in C, and
-the constructor checks run in __new__, which pickling calls again.  Being
-tuples, a value equals the plain tuple of its fields; nothing here keys a
-table by both.  Build values with the class itself, never with _make or
-_replace, which skip the checks.
+TypeAQuiver, Interval and RepClass key most caches, and ExplicitRep carries
+matrices, so all four are immutable named tuples: hashing, equality and
+ordering are tuple operations in C, and the constructor checks run in
+__new__, which pickling calls again.  Being tuples, a value equals the plain
+tuple of its fields; nothing here keys a table by both.  Build values with
+the class itself, never with _make or _replace, which skip the checks.
+Named tuples need no dataclasses import, which with its inspect stack
+would be most of the package's import time.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
 
 from .linalg import Mat
@@ -224,26 +225,23 @@ def semisimple_class(q: TypeAQuiver, d: tuple[int, ...]) -> RepClass:
     return RepClass.from_pairs((Interval(v, v), d[v - 1]) for v in range(1, q.n + 1) if d[v - 1])
 
 
-@dataclass(frozen=True)
-class ExplicitRep:
+class ExplicitRep(namedtuple("ExplicitRep", "quiver dims mats")):
     """Concrete matrices realizing a representation; mats[k] maps along edge k."""
 
-    quiver: TypeAQuiver
-    dims: tuple[int, ...]
-    mats: tuple[Mat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q = self.quiver
-        if len(self.dims) != q.n or any(x < 0 for x in self.dims):
+    def __new__(cls, quiver: TypeAQuiver, dims: tuple[int, ...], mats: tuple[Mat, ...]) -> "ExplicitRep":
+        if len(dims) != quiver.n or any(x < 0 for x in dims):
             raise ValueError("bad dimension vector")
-        if len(self.mats) != q.n - 1:
+        if len(mats) != quiver.n - 1:
             raise ValueError("one matrix per edge required")
-        for k, mat in enumerate(self.mats):
-            s, t = q.edge(k)
-            if (mat.nrows, mat.ncols) != (self.dims[t - 1], self.dims[s - 1]):
+        for k, mat in enumerate(mats):
+            s, t = quiver.edge(k)
+            if (mat.nrows, mat.ncols) != (dims[t - 1], dims[s - 1]):
                 raise ValueError(
-                    f"edge {k}: expected {self.dims[t-1]}x{self.dims[s-1]}, got {mat.nrows}x{mat.ncols}"
+                    f"edge {k}: expected {dims[t-1]}x{dims[s-1]}, got {mat.nrows}x{mat.ncols}"
                 )
+        return tuple.__new__(cls, (quiver, dims, mats))
 
 
 @cache

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .degen import degeneration_poset, hom_leq, local_covers
 from .grass import PoincarePoly, betti_recursion, cover_rows, product_bound_rows
@@ -30,36 +30,22 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True)
-class CoverCheck:
+class CoverCheck(namedtuple("CoverCheck", "m n e p_n p_m kernel monotone identity_ok")):
     """One minimal degeneration m -> n probed at subdimension e.
 
     kernel is p_n - p_m; identity_ok holds both strata identities, the
     kernel against the i = 1 sum and p_m against the i = 0 sum.
     """
 
-    m: RepClass
-    n: RepClass
-    e: tuple[int, ...]
-    p_n: PoincarePoly
-    p_m: PoincarePoly
-    kernel: PoincarePoly
-    monotone: bool
-    identity_ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpecializationReport:
-    quiver: TypeAQuiver
-    m: RepClass
-    n: RepClass
-    e: tuple[int, ...]
-    chain: tuple[CoverCheck, ...]
-    p_n: PoincarePoly
-    p_m: PoincarePoly
-    kernel: PoincarePoly
-    monotone: bool
-    identity_ok: bool
+class SpecializationReport(
+    namedtuple("SpecializationReport", "quiver m n e chain p_n p_m kernel monotone identity_ok")
+):
+    """A degeneration m -> n checked at e along a saturated chain, one CoverCheck per link."""
+
+    __slots__ = ()
 
 
 def saturated_chain(q: TypeAQuiver, m: RepClass, n: RepClass) -> tuple[RepClass, ...]:
@@ -100,16 +86,13 @@ def check_degeneration(q: TypeAQuiver, m: RepClass, n: RepClass, e: tuple[int, .
     return SpecializationReport(q, m, n, e, checks, p_n, p_m, kernel, monotone, identity_ok)
 
 
-@dataclass(frozen=True)
-class VerifySummary:
-    quiver: TypeAQuiver
-    d: tuple[int, ...]
-    nodes: int
-    covers: int
-    cover_checks: int
-    bound_checks: int
-    failures: tuple[str, ...]
-    kernels: tuple[tuple[RepClass, RepClass, tuple[int, ...], PoincarePoly], ...]
+class VerifySummary(
+    namedtuple("VerifySummary", "quiver d nodes covers cover_checks bound_checks failures kernels")
+):
+    """A verify sweep of dimension d: the counts, the failure strings, and
+    (m, n, e, kernel) for every cover check."""
+
+    __slots__ = ()
 
 
 VERIFY_WORK_BUDGET = 500_000

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -186,7 +185,7 @@ def streamed_and_reference(monkeypatch, capsys, label, d, **changes):
     summaries = []
 
     def recording(q, d, jobs):
-        summary = dataclasses.replace(specialize.verify_theorem(q, d, jobs=jobs), **changes)
+        summary = specialize.verify_theorem(q, d, jobs=jobs)._replace(**changes)
         summaries.append(summary)
         return summary
 
@@ -530,7 +529,7 @@ def test_cli_strata_refuses_non_cover_before_any_table(monkeypatch, capsys, m, n
     def refuse(*args, **kwargs):
         raise AssertionError("a Betti or strata table was built before the cover check")
 
-    for name in ("betti_table", "strata_kernel_table", "packed_betti_table", "strata_sums"):
+    for name in ("betti_table", "packed_betti_table", "strata_sums"):
         monkeypatch.setattr(grass, name, refuse)
     for module in (grass, cli):
         monkeypatch.setattr(module, "strata_table", refuse)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -231,7 +230,7 @@ def test_bongartz_rejects_non_cover():
 
 def test_boundary_check_catches_swapped_split():
     bd = bongartz_data(A3, cls((1, 2), (3, 3)), cls((1, 1), (2, 2), (3, 3)))
-    bad = replace(bd, x_rest=bd.s_rest, s_rest=bd.x_rest)
+    bad = bd._replace(x_rest=bd.s_rest, s_rest=bd.x_rest)
     with pytest.raises(InternalCheckError):
         boundary_check(bad)
 
@@ -246,7 +245,7 @@ def test_boundary_check_catches_wrong_boundary_classes():
                 bd = bongartz_data(q, m, n)
                 extra = RepClass(((bd.x1, 1),))
                 for field, message in (("x_ker", "Ker"), ("s_im", "Im"), ("s_quot", "S / Im")):
-                    bad = replace(bd, **{field: getattr(bd, field).union(extra)})
+                    bad = bd._replace(**{field: getattr(bd, field).union(extra)})
                     with pytest.raises(InternalCheckError, match=f"^{message}"):
                         boundary_check(bad)
                 checked += 1
@@ -358,7 +357,7 @@ def test_boundary_check_catches_a_wrong_class_of_the_right_dimension():
             others = [m for m in enumerate_rep_classes(q, stored.dim(q.n)) if m != stored]
             if others:
                 with pytest.raises(InternalCheckError) as exc:
-                    boundary_check(replace(bd, **{field: others[0]}))
+                    boundary_check(bd._replace(**{field: others[0]}))
                 assert str(exc.value) == f"{label} = {stored}, stored {others[0]}"
                 caught[field] = (q.label(), stored.text(), others[0].text())
         if len(caught) == 3:

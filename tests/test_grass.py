@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import sys
 import time
@@ -21,8 +20,6 @@ from quivergrass.grass import (
     peel_summand,
     StratumRecord,
     point_count,
-    strata_kernel_table,
-    strata_sum,
     strata_table,
 )
 from quivergrass.homalg import euler_form, ext_intervals
@@ -693,6 +690,31 @@ def test_strata_zero_records_have_zero_shift():
             assert rec.shift == 0
 
 
+def strata_sum(records, which=None):
+    """Sum q^shift * base over the records, optionally filtered by i: the reference fold of a strata table."""
+    total = PoincarePoly.zero()
+    for rec in records:
+        if (which is None or rec.i == which) and rec.base_poly:
+            total = total + rec.base_poly.shift(rec.shift)
+    return total
+
+
+def strata_kernel_table(bd, lo=None, hi=None):
+    """The i = 1 strata sums of bd, unpacked, at every lo <= e <= hi in lexicographic order, zeros included.
+
+    The box defaults to 0 <= e <= dim m.  Entry e must equal
+    strata_sum(strata_table(bd, e), 1).
+    """
+    q = bd.quiver
+    lo = (0,) * q.n if lo is None else tuple(lo)
+    dim_m = grass._cover_dim(bd)
+    hi = dim_m if hi is None else tuple(hi)
+    w, mask = grass.cover_slots(dim_m)
+    sums1, _ = grass.strata_sums(bd, lo, hi, (w, mask))
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return {e: grass.unpack(sums1.get(e, 0), w) for e in box}
+
+
 def reference_strata_table(bd, e):
     """Every split f + g = e computed in full, with no support restriction."""
     q = bd.quiver
@@ -784,7 +806,7 @@ def test_strata_table_split_budget(monkeypatch):
 def test_strata_negative_complement_raises(monkeypatch):
     # a stored x_ker larger than X makes the i = 1 base exceed the product
     bd = bongartz_data(A2, cls((1, 2)), cls((1, 1), (2, 2)))
-    bad = dataclasses.replace(bd, x_ker=bd.x_class.union(bd.x_class), s_im=RepClass.empty(), s_quot=bd.s_class)
+    bad = bd._replace(x_ker=bd.x_class.union(bd.x_class), s_im=RepClass.empty(), s_quot=bd.s_class)
     monkeypatch.setattr(grass, "boundary_check", lambda bd: True)
     with pytest.raises(InternalCheckError, match="negative count"):
         strata_table(bad, (1, 1))

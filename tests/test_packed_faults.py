@@ -6,7 +6,6 @@ internal-check error for a check that raises, or with the failure it
 collects.  Caches that a fault could fill are cleared before and after.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -52,7 +51,7 @@ def patch_boundary_class(monkeypatch, field, wrong):
 
     def patched(q, m, n):
         bd = real(q, m, n)
-        return dataclasses.replace(bd, **{field: wrong(bd)})
+        return bd._replace(**{field: wrong(bd)})
 
     monkeypatch.setattr(grass, "bongartz_data", patched)
 

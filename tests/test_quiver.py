@@ -4,8 +4,12 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass.degen import DegenPoset, bongartz_data, degeneration_poset
+from quivergrass.grass import PoincarePoly, strata_table
+from quivergrass.homalg import hom_basis
 from quivergrass.linalg import Mat
 from quivergrass.quiver import (
+    ExplicitRep,
     Interval,
     RepClass,
     TypeAQuiver,
@@ -19,6 +23,7 @@ from quivergrass.quiver import (
     vec_leq,
     vec_sub,
 )
+from quivergrass.specialize import check_degeneration, verify_theorem
 
 A2 = TypeAQuiver(2, "F")
 A3 = TypeAQuiver(3, "FF")
@@ -217,8 +222,9 @@ def test_repclass_hash_is_stable_across_constructions():
         (Interval(2, 3), lambda: Interval(3, 2)),
         (RepClass.from_copies([Interval(1, 2), Interval(2, 2)]), lambda: RepClass.from_pairs([(Interval(1, 1), -1)])),
         (Mat.from_rows([[1, 2], [3, 4]]), lambda: Mat.from_rows([[1], [2, 3]])),
+        (explicit_of(A3, cls((1, 2), (2, 3))), lambda: ExplicitRep(A2, (1, 1), (Mat.from_rows([[1, 1]]),))),
     ],
-    ids=["TypeAQuiver", "Interval", "RepClass", "Mat"],
+    ids=["TypeAQuiver", "Interval", "RepClass", "Mat", "ExplicitRep"],
 )
 def test_value_types_are_immutable_slotted_tuples(value, bad):
     with pytest.raises(ValueError):
@@ -235,10 +241,80 @@ def test_value_types_are_immutable_slotted_tuples(value, bad):
 
 def test_unpickling_runs_the_constructor_checks():
     # tuple.__new__ skips the checks in __new__; loading calls __new__ again
-    for forged in (tuple.__new__(TypeAQuiver, (2, "FX")), tuple.__new__(Interval, (3, 2))):
+    forged_values = (
+        tuple.__new__(TypeAQuiver, (2, "FX")),
+        tuple.__new__(Interval, (3, 2)),
+        tuple.__new__(ExplicitRep, (A2, (1, 1), (Mat.from_rows([[1, 1]]),))),
+    )
+    for forged in forged_values:
         data = pickle.dumps(forged)
         with pytest.raises(ValueError):
             pickle.loads(data)
+
+
+def _cover_report():
+    return check_degeneration(A2, cls((1, 2)), cls((1, 1), (2, 2)), (1, 1))
+
+
+RECORDS = {
+    "ExplicitHom": lambda: hom_basis(explicit_of(A2, cls((1, 2))), explicit_of(A2, cls((1, 2), (2, 2))))[0],
+    "BongartzData": lambda: bongartz_data(A2, cls((1, 2)), cls((1, 1), (2, 2))),
+    "StratumRecord": lambda: strata_table(bongartz_data(A2, cls((1, 2)), cls((1, 1), (2, 2))), (1, 1))[-1],
+    "CoverCheck": lambda: _cover_report().chain[0],
+    "SpecializationReport": _cover_report,
+    "VerifySummary": lambda: verify_theorem(A3, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("build", list(RECORDS.values()), ids=list(RECORDS))
+def test_records_are_immutable_slotted_tuples(build):
+    record = build()
+    field = record._fields[-1]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert type(record).__slots__ == () and not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+
+
+def test_degen_poset_caches_leq_in_an_immutable_tuple():
+    poset = degeneration_poset(A3, (1, 1, 1))
+    assert isinstance(poset, tuple) and "__slots__" not in vars(DegenPoset)
+    assert poset.leq is poset.leq
+    for name in ("nodes", "leq", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(poset, name, ())
+    with pytest.raises(AttributeError):
+        del poset.leq
+    assert poset.leq is poset.leq
+    copy = pickle.loads(pickle.dumps(poset))
+    assert copy == poset and hash(copy) == hash(poset)
+    assert copy.leq == poset.leq and copy.leq is copy.leq
+
+
+def test_poincare_poly_is_an_immutable_slotted_value():
+    p = PoincarePoly.from_coeffs((1, 2, 1, 0))
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert PoincarePoly.__slots__ == ("coeffs",) and not hasattr(p, "__dict__")
+    assert p.coeffs == (1, 2, 1) and repr(p) == "PoincarePoly(coeffs=(1, 2, 1))"
+    assert p == PoincarePoly((1, 2, 1)) and p != PoincarePoly((1, 2)) and p != (1, 2, 1)
+    assert hash(p) == hash(((1, 2, 1),))
+    copy = pickle.loads(pickle.dumps(p))
+    assert type(copy) is PoincarePoly and copy == p and hash(copy) == hash(p)
+    assert not PoincarePoly.zero() and PoincarePoly.one()
+    # no tuple base: * is the product, so an int factor and ordering are errors
+    assert p * p == PoincarePoly((1, 4, 6, 4, 1))
+    with pytest.raises(TypeError):
+        3 * p
+    with pytest.raises(TypeError):
+        p < p
 
 
 def test_vec_sub_rejects_negative():
