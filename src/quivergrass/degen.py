@@ -271,11 +271,14 @@ def boundary_check(bd: BongartzData) -> bool:
     kernel of the unique map x1 + x_rest -> tau(s1 + s_rest), and s_im /
     s_quot those of the image and cokernel of the unique map
     tau^-(x1 + x_rest) -> s1 + s_rest.  Both maps come from hom_basis, which
-    validates them, so their subquotients are built without validating
-    again (basis_subquotient), and each is compared with its stored class
-    per support component (has_class); only a subquotient that differs is
-    identified, to name it in the error.  Raises InternalCheckError on any
-    failure, a ValueError of the explicit route included.
+    solves for them and validates them, so their subquotients are built
+    without validating again.  The maps are partial identities, so each
+    subquotient is read by index (basis_subquotient) and compared with its
+    stored class by its basis strings (has_class); only a subquotient that
+    differs is identified by its Hom counts (iso_identify), to name it in
+    the error.  Raises InternalCheckError on any failure, a ValueError of
+    the explicit route included, such as a subquotient whose arrows are
+    not signed partial permutations.
     """
     q = bd.quiver
     if bd.x_rest.union(bd.s_rest) != bd.common:

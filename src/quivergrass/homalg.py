@@ -12,14 +12,17 @@ The middle term of a non-split extension of interval modules with a
 one-dimensional Ext space is the endpoint swap of the two intervals,
 certified against the Hom table; hom_basis, iso_identify and
 subquotient_class are the explicit route that tests and boundary checks
-compare it with.  That route works on the support of what it computes:
-iso_identify splits a representation at its zero vertices and identifies
-each support component on its own sub-quiver, and a zero block of a
-homomorphism has its kernel, image and cokernel read off without
-elimination (basis_subquotient).  A check that already holds the expected
-class compares instead of identifying: has_class tests the dimension
-vector and the Hom counts from the intervals inside each support
-component, against the Hom table of the representation's own quiver.
+compare it with.  iso_identify splits a representation at its zero
+vertices and identifies each support component on its own sub-quiver by
+its Hom counts.  The boundary checks work on coordinates: the unique maps
+they take apart are partial identities, and a block of a homomorphism
+that is a signed partial permutation (a zero block included) has its
+kernel, image and cokernel read by index, with the arrow maps between them
+selected from the ambient arrows (basis_subquotient); any other block is
+eliminated.  A check that already holds the expected class compares
+instead of identifying: has_class reads the class of a representation
+whose arrows are signed partial permutations from its basis strings, each
+of which spans one interval summand.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .linalg import Entry, Mat, column_space, left_nullspace, nullspace, rank, solve
+from .linalg import Entry, InconsistentSystemError, Mat, column_space, nullspace, rank, solve
 from .quiver import (
     ExplicitRep,
     InternalCheckError,
@@ -108,7 +111,8 @@ def interval_hom_dim(u: Interval, g: ExplicitRep) -> int:
     A homomorphism is a vector x_v in g_v at each vertex a <= v <= b with
     g_k x_s = x_t on the arrows s -> t inside u and g_k x_s = 0 on the
     arrows leaving u (an arrow entering u asks nothing); its dimension is
-    the unknown count minus the exact rank of these equations.
+    the unknown count minus the exact rank of these equations.  An arrow
+    leaving u gives one equation per row of g_k, and a zero row gives none.
     """
     q = g.quiver
     offsets = {}
@@ -124,10 +128,13 @@ def interval_hom_dim(u: Interval, g: ExplicitRep) -> int:
         if s not in offsets:
             continue
         start, width = offsets[s], g.dims[s - 1]
+        inside = t in offsets
         for i, entries in enumerate(g.mats[k].rows):
+            if not (inside or any(entries)):
+                continue
             row = [0] * unknowns
             row[start : start + width] = entries
-            if t in offsets:
+            if inside:
                 row[offsets[t] + i] = -1
             rows.append(tuple(row))
     if not rows:
@@ -365,28 +372,46 @@ def iso_identify(f: ExplicitRep) -> RepClass:
 
 
 def has_class(f: ExplicitRep, m: RepClass) -> bool:
-    """Whether f is isomorphic to the class m, without identifying f.
+    """Whether f is isomorphic to the class m, read from f's basis strings.
 
-    f has class m exactly when dim f = dim m and [U, f] = [U, m] for every
-    interval U inside a run of the support of f.  Equal dimension vectors
-    give equal supports, so every summand of m lies inside one run, and the
-    Hom table of a run is unimodular, so these counts determine the
-    summands on it.  [U, m] is read from hom_vector on f's own quiver, and
-    [U, f] is computed on f itself, so no sub-quiver, Hom table or inverse
-    is built.
+    The arrows of f must be signed partial permutations, as explicit_of
+    builds them and as basis_subquotient keeps them when it reads a
+    subquotient by index (_string_class); any other f is a ValueError.  No
+    Hom count is computed.
+    """
+    return _string_class(f) == m
+
+
+def _string_class(f: ExplicitRep) -> RepClass:
+    """The class of f, whose arrows are signed partial permutations.
+
+    Such an arrow sends each basis vector to plus or minus at most one basis
+    vector at the next vertex, and no two to the same one, so the basis
+    splits into strings over runs of consecutive vertices.  A string over
+    a..b spans a summand isomorphic to the interval module [a, b]: type A
+    has no cycle, so rescaling its vectors by signs makes every map on it
+    the identity.  Any other f is a ValueError.
     """
     q = f.quiver
-    if f.dims != m.dim(q.n):
-        return False
-    counts = hom_vector(q, m)
-    idx = _interval_index(q)
-    for c, v in _support_runs(f.dims):
-        for a in range(c + 1, v + 1):
-            for b in range(a, v + 1):
-                u = Interval(a, b)
-                if interval_hom_dim(u, f) != counts[idx[u]]:
-                    return False
-    return True
+    links = []  # links[k]: basis index at vertex k + 1 -> the one it meets at vertex k + 2
+    for k, m in enumerate(f.mats):
+        match = _signed_matching(m)
+        if match is None:
+            raise ValueError(f"arrow {k} of the representation is not a signed partial permutation")
+        forward = q.edge(k)[0] == k + 1
+        links.append({j: i for j, (i, _) in match.items()} if forward else {i: j for j, (i, _) in match.items()})
+    copies = []
+    for v in range(q.n):
+        met = set(links[v - 1].values()) if v else ()
+        for start in range(f.dims[v]):
+            if start in met:
+                continue
+            b, w = start, v
+            while w < q.n - 1 and b in links[w]:
+                b = links[w][b]
+                w += 1
+            copies.append(Interval(v + 1, w + 1))
+    return RepClass.from_copies(copies)
 
 
 def _identify_run(f: ExplicitRep) -> RepClass:
@@ -418,48 +443,104 @@ def subquotient_class(h: ExplicitHom, which: str) -> RepClass:
     return iso_identify(basis_subquotient(h, which))
 
 
-def _is_zero(m: Mat) -> bool:
-    return not any(map(any, m.rows))
+def _signed_matching(m: Mat) -> dict[int, tuple[int, int]] | None:
+    """{column: (row, entry)} of the nonzero entries of m when m is a signed
+    partial permutation (at most one nonzero per row and per column, each
+    1 or -1), else None.  A zero or empty block gives {}."""
+    match = {}
+    for i, row in enumerate(m.rows):
+        hits = [j for j, x in enumerate(row) if x]
+        if hits:
+            j = hits[0]
+            if len(hits) > 1 or j in match or row[j] not in (1, -1):
+                return None
+            match[j] = (i, row[j])
+    return match
+
+
+def _block_basis(m: Mat, which: str) -> Mat | list[tuple[int, int]]:
+    """A basis of the kernel ("kernel") or image ("image") of the block m.
+
+    A signed partial permutation gives its basis by index, as signed unit
+    vectors (index, sign): the unit vectors at its zero columns for the
+    kernel and its nonzero columns for the image, which are the bases that
+    nullspace and column_space return.  Any other block is eliminated and
+    gives the columns of a Mat.
+    """
+    match = _signed_matching(m)
+    if match is None:
+        return nullspace(m) if which == "kernel" else column_space(m)
+    if which == "kernel":
+        return [(j, 1) for j in range(m.ncols) if j not in match]
+    return [match[j] for j in sorted(match)]
+
+
+def _columns(size: int, basis: Mat | list[tuple[int, int]]) -> Mat:
+    """The basis as the columns of a size-row Mat."""
+    if isinstance(basis, Mat):
+        return basis
+    rows = [[0] * len(basis) for _ in range(size)]
+    for p, (i, sign) in enumerate(basis):
+        rows[i][p] = sign
+    return Mat(size, len(basis), tuple(map(tuple, rows)))
+
+
+def _induced(a: Mat, src: Mat | list[tuple[int, int]], dst: Mat | list[tuple[int, int]]) -> Mat:
+    """The X with dst X = a src, for bases as _block_basis gives them.
+
+    Between two sets of signed unit vectors X is the submatrix of a at
+    their indices, times their signs, and a nonzero entry of a in a column
+    of src outside the rows of dst is an InconsistentSystemError, as solve
+    raises on the same system.  Any other pair of bases is solved.
+    """
+    if isinstance(src, Mat) or isinstance(dst, Mat):
+        return solve(_columns(a.nrows, dst), a.mul(_columns(a.ncols, src)))
+    where = {i: (p, sign) for p, (i, sign) in enumerate(dst)}
+    out = [[0] * len(src) for _ in dst]
+    for col, (j, sign) in enumerate(src):
+        for i, row in enumerate(a.rows):
+            if row[j]:
+                if i not in where:
+                    raise InconsistentSystemError("system has no exact solution")
+                p, row_sign = where[i]
+                out[p][col] = row_sign * sign * row[j]
+    return Mat(len(dst), len(src), tuple(map(tuple, out)))
 
 
 def basis_subquotient(h: ExplicitHom, which: str) -> ExplicitRep:
     """The kernel, image or cokernel of an element of hom_basis, as matrices.
 
-    hom_basis has validated h, so it is not validated again.  A zero or
-    empty block needs no elimination: its kernel basis is the identity, its
-    image basis is empty and its cokernel projection is the identity.  The
-    restricted arrow maps are solved for only between two vertices where
-    the subquotient is nonzero; every other one has an empty side.
+    hom_basis has validated h, so it is not validated again.  A block that
+    is a signed partial permutation (a zero or empty block is one) gives
+    its basis by index and any other block by elimination (_block_basis);
+    between two index bases an arrow map is a signed submatrix of the
+    ambient arrow (_induced).  The cokernel is read through transposes: its
+    projections are the transposes of a kernel basis of each transposed
+    block (the unit rows at the block's zero rows), and its arrow maps the
+    transposes of the maps that the transposed ambient arrows induce.  An
+    arrow map with an empty side is zero and is not computed.
     """
     q = h.source.quiver
     if which == "kernel":
-        bases = [Mat.identity(m.ncols) if _is_zero(m) else nullspace(m) for m in h.mats]
-        ambient = h.source
+        blocks, ambient = h.mats, h.source.mats
     elif which == "image":
-        bases = [Mat(m.nrows, 0, ((),) * m.nrows) if _is_zero(m) else column_space(m) for m in h.mats]
-        ambient = h.target
+        blocks, ambient = h.mats, h.target.mats
     elif which == "cokernel":
-        projections = [Mat.identity(m.nrows) if _is_zero(m) else left_nullspace(m) for m in h.mats]
-        dims = tuple(p.nrows for p in projections)
-        mats = []
-        for k in range(q.n - 1):
-            s, t = q.edge(k)
-            if dims[s - 1] and dims[t - 1]:
-                rhs = projections[t - 1].mul(h.target.mats[k])
-                mats.append(solve(projections[s - 1].transpose(), rhs.transpose()).transpose())
-            else:
-                mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
-        return ExplicitRep(q, dims, tuple(mats))
+        blocks = [m.transpose() for m in h.mats]
+        ambient = [m.transpose() for m in h.target.mats]
     else:
         raise ValueError(f"which must be kernel/image/cokernel, got {which!r}")
-    dims = tuple(b.ncols for b in bases)
+    bases = [_block_basis(m, "image" if which == "image" else "kernel") for m in blocks]
+    dims = tuple(b.ncols if isinstance(b, Mat) else len(b) for b in bases)
     mats = []
     for k in range(q.n - 1):
         s, t = q.edge(k)
-        if dims[s - 1] and dims[t - 1]:
-            mats.append(solve(bases[t - 1], ambient.mats[k].mul(bases[s - 1])))
-        else:
+        if not (dims[s - 1] and dims[t - 1]):
             mats.append(Mat.zeros(dims[t - 1], dims[s - 1]))
+        elif which == "cokernel":
+            mats.append(_induced(ambient[k], bases[t - 1], bases[s - 1]).transpose())
+        else:
+            mats.append(_induced(ambient[k], bases[s - 1], bases[t - 1]))
     return ExplicitRep(q, dims, tuple(mats))
 
 

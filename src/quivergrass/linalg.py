@@ -23,8 +23,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
+from operator import mul
 
 Entry = "int | Fraction"
+_INT = frozenset((int,))
 
 
 class InconsistentSystemError(ValueError):
@@ -77,7 +79,7 @@ class Mat(namedtuple("Mat", "nrows ncols rows")):
         if other.nrows == 0:
             return Mat.zeros(self.nrows, other.ncols)
         out = tuple(
-            tuple(_coerce(sum(a * b for a, b in zip(row, col))) for col in cols) for row in self.rows
+            tuple(_coerce(sum(map(mul, row, col))) for col in cols) for row in self.rows
         )
         return Mat(self.nrows, other.ncols, out)
 
@@ -102,7 +104,8 @@ class Mat(namedtuple("Mat", "nrows ncols rows")):
 def _eliminate(m: Mat, full: bool) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of m: (the rank many nonzero rows, pivot columns).
 
-    Each row is first scaled by the lcm of its denominators.  A row is
+    A row of ints is copied as it is, and any other row is first scaled by
+    the lcm of its denominators.  A row is
     cleared against the pivot row by a*row - b*pivot_row with a/b = p/f in
     lowest terms (p the pivot, f the row's entry), then divided exactly by
     the gcd of its entries.  Rows below each pivot are cleared; with full,
@@ -111,8 +114,11 @@ def _eliminate(m: Mat, full: bool) -> tuple[list[list[int]], list[int]]:
     """
     rows = []
     for row in m.rows:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+        if set(map(type, row)) <= _INT:
+            rows.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(m.ncols):

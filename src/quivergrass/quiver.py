@@ -264,7 +264,8 @@ def explicit_of(q: TypeAQuiver, m: RepClass) -> ExplicitRep:
         for c, u in enumerate(copies):
             if u.contains(s) and u.contains(t):
                 rows[pos[t - 1][c]][pos[s - 1][c]] = 1
-        mats.append(Mat.from_rows(rows, ncols=dims[s - 1]))
+        # 0 and 1 are already in normal form: no coercion per entry
+        mats.append(Mat(dims[t - 1], dims[s - 1], tuple(map(tuple, rows))))
     return ExplicitRep(q, dims, tuple(mats))
 
 

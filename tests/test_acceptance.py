@@ -25,9 +25,11 @@ from quivergrass.homalg import (
     ext_dim,
     ext_intervals,
     euler_form,
+    hom_basis,
     hom_dim,
     hom_dim_classes,
     tau,
+    tau_class,
 )
 from quivergrass.quiver import (
     Interval,
@@ -165,6 +167,38 @@ def test_criterion_5_minimal_degeneration_data():
         "5 minimal degeneration data",
         True,
         f"{covers} covers, {time.monotonic() - start:.1f}s",
+    )
+
+
+def test_criterion_5_unique_maps_of_a5_covers_are_partial_identities():
+    # boundary_check reads the kernel, image and cokernel of the two unique
+    # maps of a cover by index when their blocks are signed partial
+    # permutations; on every cover of every A5 orientation with d <= 2
+    # componentwise, every block is a partial identity
+    start = time.monotonic()
+    covers = 0
+    maps = set()
+    for q in all_quivers(5, min_n=5):
+        for d in vec_boxes((2,) * q.n):
+            for m, n in degeneration_poset(q, d).covers:
+                covers += 1
+                bd = bongartz_data.__wrapped__(q, m, n)
+                maps.add((q, bd.x_class, tau_class(q, bd.s_class)))
+                maps.add((q, tau_class(q, bd.x_class, "inverse"), bd.s_class))
+    for q, src, dst in maps:
+        (h,) = hom_basis(explicit_of.__wrapped__(q, src), explicit_of.__wrapped__(q, dst))
+        for block in h.mats:
+            ok = (
+                all(x in (0, 1) for row in block.rows for x in row)
+                and all(sum(row) <= 1 for row in block.rows)
+                and all(sum(col) <= 1 for col in zip(*block.rows))
+            )
+            if not ok:
+                _report("5 unique maps are partial identities", False, f"{q.label()} map {src} -> {dst}: {block}")
+    _report(
+        "5 unique maps are partial identities",
+        covers > 0,
+        f"{covers} A5 covers, {len(maps)} unique maps, {time.monotonic() - start:.1f}s",
     )
 
 

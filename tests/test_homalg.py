@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +321,50 @@ def test_iso_identify_per_support_component(dims):
         rep = ExplicitRep(q, dims, tuple(mats))
         found = iso_identify(rep)
         assert found.dim(q.n) == dims and found == reference_iso_identify(rep), q.label()
+
+
+def signed_relabel(f, rng):
+    """f with each vertex's basis permuted and rescaled by signs at random: the same class."""
+    q = f.quiver
+    moves = []
+    for d in f.dims:
+        order = rng.sample(range(d), d)
+        moves.append([(order[i], rng.choice((1, -1))) for i in range(d)])
+    mats = []
+    for k, m in enumerate(f.mats):
+        s, t = q.edge(k)
+        rows = [[0] * m.ncols for _ in range(m.nrows)]
+        for i, row in enumerate(m.rows):
+            for j, x in enumerate(row):
+                (i2, si), (j2, sj) = moves[t - 1][i], moves[s - 1][j]
+                rows[i2][j2] = si * sj * x
+        mats.append(Mat(m.nrows, m.ncols, tuple(map(tuple, rows))))
+    return ExplicitRep(q, f.dims, tuple(mats))
+
+
+def test_string_walk_matches_iso_identify_a1_a5():
+    # random classes on every orientation of A1-A5, as explicit_of builds
+    # them and with their bases permuted and rescaled by signs
+    rng = random.Random(3)
+    checked = 0
+    for q in all_quivers(5):
+        intervals = intervals_of(q)
+        for _ in range(12):
+            m = RepClass.from_copies(rng.choice(intervals) for _ in range(rng.randint(0, 5)))
+            for f in (explicit_of(q, m), signed_relabel(explicit_of(q, m), rng)):
+                assert homalg._string_class(f) == m == iso_identify(f), (q.label(), m.text())
+                assert homalg.has_class(f, m)
+                others = [n for n in enumerate_rep_classes(q, m.dim(q.n)) if n != m]
+                assert not any(homalg.has_class(f, n) for n in others[:3])
+                checked += 1
+    assert checked == 2 * 12 * 31
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[1, 1]], [[1], [-1]], [[Fraction(1, 2)]], [[1, 0], [1, 0]]])
+def test_has_class_refuses_a_representation_that_is_not_a_signed_partial_permutation(rows):
+    f = ExplicitRep(A2, (len(rows[0]), len(rows)), (Mat.from_rows(rows),))
+    with pytest.raises(ValueError, match="^arrow 0 of the representation is not a signed partial permutation"):
+        homalg.has_class(f, iso_identify(f))
 
 
 def test_hom_basis_examples():

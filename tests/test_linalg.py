@@ -217,6 +217,7 @@ def test_elimination_matches_reference_examples():
         [[0, 0, 0], [0, -3, 6], [0, 0, 0]],  # zero rows and columns around a negative pivot
         [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(3, 4), Fraction(-1, 2)]],  # rank 1, Fractions
         [[6, 10, 15], [4, 7, 9]],  # non-integral reduced entries
+        [[2, -4, 0], [Fraction(1, 2), 3, Fraction(-2, 3)]],  # a row of ints copied, a Fraction row rescaled
     ]
     for rows in examples:
         assert_matches_reference(Mat.from_rows(rows))
